@@ -34,16 +34,14 @@ def _cell_integrals(i_max, d, a, b):
     """W[i-1, l-1] = integral of psi_i over the cell ]z_{l-1}, z_l], closed form."""
     span = b - a
     u = np.arange(0, d + 1) / d          # cell edges in normalized coordinates
+    i = np.arange(2, i_max + 1)[:, None]
+    m = i // 2
+    arg = 2.0 * np.pi * m * u
+    # primitives over 2 pi m: sin for cos(2*pi*m*u) (even i), -cos for sin (odd i)
+    prim = np.where(i % 2 == 0, np.sin(arg), -np.cos(arg))
     W = np.empty((i_max, d))
     W[0] = span / d / math.sqrt(span)    # psi_1 = 1/sqrt(span)
-    for i in range(2, i_max + 1):
-        m = i // 2
-        c = math.sqrt(2.0 / span) * span / (2.0 * math.pi * m)
-        if i % 2 == 0:  # cos(2*pi*m*u): primitive sin/(2 pi m)
-            prim = np.sin(2.0 * np.pi * m * u)
-        else:           # sin(2*pi*m*u): primitive -cos/(2 pi m)
-            prim = -np.cos(2.0 * np.pi * m * u)
-        W[i - 1] = c * np.diff(prim)
+    W[1:] = math.sqrt(2.0 / span) * span / (2.0 * np.pi * m) * np.diff(prim, axis=1)
     return W
 
 
@@ -114,6 +112,4 @@ def beta_error(estimate, true_beta):
     return float(diff @ diff)
 
 
-def trig_psi(i, x, a=0.0, b=1.0):
-    """The trigonometric system as a psi callable for project_coefficients."""
-    return trig_fn(i, x, a, b)
+trig_psi = trig_fn  # the trigonometric system as a psi callable for project_coefficients

@@ -16,7 +16,7 @@ from . import pipeline as pl
 from . import theory
 from .harness import export_report, run_cell, run_table
 from .io import write_csv, write_json
-from .selection import DELTA_MAX, ConfigurationError
+from .selection import ConfigurationError, check_delta
 from .signals import (NoiseSpec, SignalSpec, ValidationError, generate_trajectory,
                       signal_s1, signal_s2)
 
@@ -47,11 +47,6 @@ def resolve_noise(name):
     raise ValidationError(f"unknown noise {name!r}; valid: gaussian, uniform, none, all")
 
 
-def load_config_file(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def merged_option(args, cfg, key, default=None):
     val = getattr(args, key.replace("-", "_"), None)
     if val is not None:
@@ -61,9 +56,11 @@ def merged_option(args, cfg, key, default=None):
     return default
 
 
-def check_delta(delta):
-    if delta is not None and not 0.0 < delta <= DELTA_MAX + 1e-15:
-        raise ValidationError(f"delta must lie in (0, 1/12], got {delta}")
+def resolve_formats(args, cfg):
+    formats = str(merged_option(args, cfg, "format", "csv,json")).split(",")
+    if not set(formats) <= {"csv", "json"}:
+        raise ValidationError(f"--format takes a comma list of csv, json; got {formats}")
+    return formats
 
 
 def ensure_out(path):
@@ -106,32 +103,25 @@ def _run_estimate(args, cfg):
 
 
 def cmd_estimate(args, cfg):
+    formats = resolve_formats(args, cfg)
     spec, res, run_cfg = _run_estimate(args, cfg)
     out = ensure_out(merged_option(args, cfg, "out", "."))
-    formats = merged_option(args, cfg, "format", "csv,json").split(",")
-    paths = []
-    if "csv" in formats:
-        p = os.path.join(out, "seq_points.csv")
-        write_csv(p, run_cfg, ("l", "z_l", "Y_l", "sigma2_l", "tau_l", "gamma_l"),
-                  res.reg.rows() if res.reg.points else
-                  ((l + 1, res.reg.z[l], res.reg.Y[l], res.reg.sigma2[l], 0, 1)
-                   for l in range(len(res.reg.z))))
-        paths.append(p)
-        p = os.path.join(out, "coefficients.csv")
-        write_csv(p, run_cfg, ("j", "theta_hat_j", "s_jd"),
-                  zip(range(1, len(res.coeffs.theta_hat) + 1),
-                      res.coeffs.theta_hat, res.coeffs.s_jd))
-        paths.append(p)
-        p = os.path.join(out, "criterion.csv")
-        write_csv(p, run_cfg, ("k", "t", "J"),
-                  ((k, t, J) for (k, t), J in
-                   zip(res.context.grid.alphas, res.selection.J_values)))
-        paths.append(p)
-        p = os.path.join(out, "s_star.csv")
-        write_csv(p, run_cfg, ("l", "z_l", "S_star"),
-                  zip(range(1, res.context.part.d + 1), res.context.part.z,
-                      res.selection.S_star))
-        paths.append(p)
+    tables = {
+        "seq_points.csv": (("l", "z_l", "Y_l", "sigma2_l", "tau_l", "gamma_l"),
+                           res.reg.rows() if res.reg.points else
+                           ((l + 1, res.reg.z[l], res.reg.Y[l], res.reg.sigma2[l], 0, 1)
+                            for l in range(len(res.reg.z)))),
+        "coefficients.csv": (("j", "theta_hat_j", "s_jd"),
+                             zip(range(1, len(res.coeffs.theta_hat) + 1),
+                                 res.coeffs.theta_hat, res.coeffs.s_jd)),
+        "criterion.csv": (("k", "t", "J"), ((k, t, J) for (k, t), J in
+                                           zip(res.context.grid.alphas, res.selection.J_values))),
+        "s_star.csv": (("l", "z_l", "S_star"), zip(range(1, res.context.part.d + 1),
+                                                  res.context.part.z, res.selection.S_star)),
+    }
+    paths = [os.path.join(out, name) for name in tables if "csv" in formats]
+    for p, table in zip(paths, tables.values()):
+        write_csv(p, run_cfg, *table)
     if "json" in formats:
         p = os.path.join(out, "selection.json")
         write_json(p, run_cfg, {
@@ -160,8 +150,8 @@ def cmd_risk_table(args, cfg):
     delta = merged_option(args, cfg, "delta")
     check_delta(delta)
     mu0 = float(merged_option(args, cfg, "mu0", 0.5))
+    formats = resolve_formats(args, cfg)
     out = ensure_out(merged_option(args, cfg, "out", "."))
-    formats = merged_option(args, cfg, "format", "csv,json").split(",")
     signal_id = spec_name if not spec_name.startswith("series:") else "series"
     report = run_table(spec, noises, n_list, M, seed, mu0=mu0, delta=delta,
                        signal_id=signal_id)
@@ -262,14 +252,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    cfg = {}
-    if getattr(args, "config", None):
-        try:
-            cfg = load_config_file(args.config)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_IO
     try:
+        cfg = {}
+        if getattr(args, "config", None):
+            with open(args.config) as fh:
+                cfg = json.load(fh)
         return COMMANDS[args.command](args, cfg)
     except (ValidationError, ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

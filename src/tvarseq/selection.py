@@ -13,11 +13,9 @@ import math
 
 import numpy as np
 
+from .sequential import ConfigurationError, grid_size
+
 DELTA_MAX = 1.0 / 12.0
-
-
-class ConfigurationError(ValueError):
-    pass
 
 
 def default_delta(n):
@@ -64,7 +62,7 @@ def build_weight_grid(n, a=0.0, b=1.0, d=None, k_star=None, m=None, eps=None):
     if eps is None:
         eps = 1.0 / ln_n
     if d is None:
-        d = 2 * int(math.sqrt(n) / 2) + 1
+        d = grid_size(n)
 
     k = np.arange(1, k_star + 1, dtype=float)[:, None]       # (k_star, 1)
     t = eps * np.arange(1, m + 1, dtype=float)[None, :]      # (1, m)
@@ -89,8 +87,9 @@ def build_weight_grid(n, a=0.0, b=1.0, d=None, k_star=None, m=None, eps=None):
                       j_star=j_star.reshape(-1), omega=omega.reshape(-1))
 
 
-def _check_delta(delta):
-    if not 0.0 < delta <= DELTA_MAX + 1e-15:
+def check_delta(delta):
+    """Reject a penalty coefficient outside (0, 1/12]; None stands for default_delta."""
+    if delta is not None and not 0.0 < delta <= DELTA_MAX + 1e-15:
         raise ConfigurationError(f"delta must lie in (0, 1/12], got {delta}")
 
 
@@ -109,7 +108,7 @@ def criterion(lam, coeffs, delta, a, b, d):
     theta~_j = theta_hat_j^2 - ((b-a)/d) s_{j,d} debiases the squared
     coefficient.  Accepts a single weight vector or a stack of them.
     """
-    _check_delta(delta)
+    check_delta(delta)
     lam = np.asarray(lam, dtype=float)
     th2 = coeffs.theta_hat ** 2
     theta_tilde = th2 - (b - a) / d * coeffs.s_jd
@@ -140,10 +139,7 @@ def select(coeffs, grid, delta, gamma, basis):
     J = criterion(grid.lam, coeffs, delta, grid.a, grid.b, grid.d)
     idx = int(np.argmin(J))  # first minimum = lexicographically smallest alpha
     lam_hat = grid.lam[idx]
-    if gamma:
-        S_star = basis.phi @ (lam_hat * coeffs.theta_hat)
-    else:
-        S_star = np.zeros(grid.d)
+    S_star = weighted_estimate_values(lam_hat, coeffs, basis) if gamma else np.zeros(grid.d)
     return SelectionResult(alpha_hat=grid.alphas[idx], alpha_index=idx,
                            lambda_hat=lam_hat, J_values=J, S_star=S_star,
                            delta=delta, gamma=gamma)

@@ -40,6 +40,11 @@ def grid_size(n):
     return 2 * int(math.sqrt(n) / 2) + 1
 
 
+def eps_tilde(n):
+    """Projection margin eps~ = 1/(2 + ln n)."""
+    return 1.0 / (2.0 + math.log(n))
+
+
 def compute_partition(n, a=0.0, b=1.0, mu0=0.5):
     """Build the z grid, the disjoint windows and the preliminary sample size."""
     if n < 100:
@@ -60,7 +65,7 @@ def compute_partition(n, a=0.0, b=1.0, mu0=0.5):
         raise ConfigurationError(
             f"preliminary stage exhausts a window (q={q_pre}); n={n} too small")
     return GridPartition(n=n, a=a, b=b, d=d, mu0=mu0, h=(b - a) / (2 * d),
-                         q_pre=q_pre, eps_tilde=1.0 / (2.0 + math.log(n)),
+                         q_pre=q_pre, eps_tilde=eps_tilde(n),
                          z=z, k1=k1, k2=k2, iota=iota)
 
 
@@ -83,18 +88,18 @@ def project_estimate(s_hat, n):
     """Clamp into [-1 + eps~, 1 - eps~] with eps~ = 1/(2 + ln n)."""
     if n < 3:
         raise ValueError("need n >= 3")
-    eps_tilde = 1.0 / (2.0 + math.log(n))
-    return min(max(s_hat, -1.0 + eps_tilde), 1.0 - eps_tilde)
+    eps = eps_tilde(n)
+    return min(max(s_hat, -1.0 + eps), 1.0 - eps)
 
 
 def threshold(s_tilde, k2, iota, n):
     """H = (1 - eps~) * (k2 - iota) / (1 - s_tilde^2)."""
     if k2 <= iota:
         raise ValueError("need k2 > iota")
-    eps_tilde = 1.0 / (2.0 + math.log(n))
-    if abs(s_tilde) > 1.0 - eps_tilde + 1e-12:
+    eps = eps_tilde(n)
+    if abs(s_tilde) > 1.0 - eps + 1e-12:
         raise ValueError("s_tilde must be clamped before computing the threshold")
-    return (1.0 - eps_tilde) * (k2 - iota) / (1.0 - s_tilde * s_tilde)
+    return (1.0 - eps) * (k2 - iota) / (1.0 - s_tilde * s_tilde)
 
 
 def run_stopping_rule(y, iota, k2, H):

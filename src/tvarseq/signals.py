@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-from .basis import trig_fn
-
 S2_SERIES_CUTOFF = 100000
+_CERT_SLACK = 1e-3          # certificate slack slope_u/(2N) as a share of eps
+_CERT_MAX_POINTS = 1 << 20  # cap on the certification grid
 
 _SIGNAL_KINDS = ("closed_form_S1", "closed_form_S2", "series", "tabulated")
 _NOISE_FAMILIES = ("gaussian_std", "uniform_unit_variance", "bounded_symmetric", "none")
@@ -24,12 +24,21 @@ class ValidationError(ValueError):
     """A spec violates one of its declared invariants."""
 
 
+def _from_dict(cls, cfg):
+    """cls from a JSON object (lists become tuples); a bad or missing key is named."""
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in dict(cfg).items()})
+    except TypeError as exc:
+        raise ValidationError(f"bad {cls.__name__}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class SignalSpec:
     """A coefficient function S on [a, b] with stability parameters.
 
     kind "series" is sum_i coefficients[i] * psi_i(x) over the trigonometric
-    basis; "tabulated" interpolates the given values on a uniform x grid.
+    basis; "tabulated" interpolates the given values on a uniform x grid.  The
+    closed forms S1 and S2 are functions of u = (x-a)/(b-a), which is x on [0, 1].
     """
 
     kind: str
@@ -43,6 +52,9 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in _SIGNAL_KINDS:
             raise ValidationError(f"unknown signal kind {self.kind!r}; valid: {_SIGNAL_KINDS}")
+        if not np.isfinite(np.array([self.a, self.b, self.stability_eps, self.lipschitz_L,
+                                     *self.coefficients, *self.values], float)).all():
+            raise ValidationError("signal parameters must be finite (no NaN or inf)")
         if not self.b > self.a:
             raise ValidationError("need b > a")
         if not 0.0 < self.stability_eps < 1.0:
@@ -63,14 +75,7 @@ class SignalSpec:
             cfg["values"] = list(self.values)
         return cfg
 
-    @classmethod
-    def from_dict(cls, cfg):
-        cfg = dict(cfg)
-        if "coefficients" in cfg:
-            cfg["coefficients"] = tuple(cfg["coefficients"])
-        if "values" in cfg:
-            cfg["values"] = tuple(cfg["values"])
-        return cls(**cfg)
+    from_dict = classmethod(_from_dict)
 
     @classmethod
     def from_file(cls, path):
@@ -86,83 +91,89 @@ def signal_s1(stability_eps=0.4):
 
 def signal_s2(stability_eps=0.5):
     """S(x) = 0.1 + sum_{j<=100000} cos(2*pi*j*x)/(j+3)^2 on [0, 1]."""
-    # |S2'| <= 2*pi*sum j/(j+3)^2 ~ 66; leave headroom
+    # |S2'| <= 2*pi*sum j/(j+3)^2 = 59.1; leave headroom
     return SignalSpec(kind="closed_form_S2", a=0.0, b=1.0,
                       stability_eps=stability_eps, lipschitz_L=70.0)
 
 
-def _s2_scattered(x):
-    """Direct chunked summation of the S2 cosine series at arbitrary points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.full(x.shape, 0.1)
-    block = 2000
-    for j0 in range(1, S2_SERIES_CUTOFF + 1, block):
-        j = np.arange(j0, min(j0 + block, S2_SERIES_CUTOFF + 1), dtype=float)
-        out += np.cos(2.0 * np.pi * np.outer(x, j)) @ ((j + 3.0) ** -2)
-    return out
+def trig_amplitudes(spec):
+    """(c0, A, B) with S = c0 + sum_m A[m-1] cos(2 pi m u) + B[m-1] sin(2 pi m u).
 
-
-def _s2_unit_grid(N):
-    """S2 at x = i/N, i = 0..N, by folding the series modulo N.
-
-    cos(2*pi*j*i/N) depends on j only through j mod N, so the 100000-term sum
-    collapses to an N-point cosine transform; the result equals direct
-    summation to machine precision.
+    u = (x-a)/(b-a).  Every kind but "tabulated" is such a series.
     """
-    c = np.zeros(N)
-    j = np.arange(1, S2_SERIES_CUTOFF + 1)
-    np.add.at(c, j % N, (j + 3.0) ** -2.0)
-    vals = 0.1 + np.real(np.fft.fft(c))
-    return np.concatenate([vals, vals[:1]])  # x = 1 wraps to x = 0
+    if spec.kind == "closed_form_S1":
+        return 0.0, np.array([0.5]), np.zeros(1)
+    if spec.kind == "closed_form_S2":
+        m = np.arange(1, S2_SERIES_CUTOFF + 1)
+        return 0.1, (m + 3.0) ** -2.0, np.zeros(S2_SERIES_CUTOFF)
+    if spec.kind == "series":  # psi_1 = 1/sqrt(b-a), psi_2m | psi_2m+1 = sqrt(2/(b-a)) cos | sin
+        beta = np.append(spec.coefficients, np.zeros(1 - len(spec.coefficients) % 2))
+        span = spec.b - spec.a
+        scale = math.sqrt(2.0 / span)
+        return beta[0] / math.sqrt(span), scale * beta[1::2], scale * beta[2::2]
+    raise ValidationError("a tabulated signal has no trigonometric amplitudes")
 
 
 def evaluate_signal(spec, x):
-    """S(x) for scalar or array x inside [a, b]."""
+    """S(x) for scalar or array x inside [a, b]; a series is summed in chunks of terms."""
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < spec.a - 1e-12) or np.any(x > spec.b + 1e-12):
         raise ValidationError(f"x outside [{spec.a}, {spec.b}]")
-    if spec.kind == "closed_form_S1":
-        out = 0.5 * np.cos(2.0 * np.pi * x)
-    elif spec.kind == "closed_form_S2":
-        out = _s2_scattered(x)
-    elif spec.kind == "series":
-        out = np.zeros_like(x)
-        for i, beta in enumerate(spec.coefficients, start=1):
-            if beta != 0.0:
-                out += beta * trig_fn(i, x, spec.a, spec.b)
-    else:  # tabulated
-        grid = np.linspace(spec.a, spec.b, len(spec.values))
-        out = np.interp(x, grid, np.asarray(spec.values, dtype=float))
+    if spec.kind == "tabulated":
+        out = np.interp(x, np.linspace(spec.a, spec.b, len(spec.values)), spec.values)
+    else:
+        c0, A, B = trig_amplitudes(spec)
+        u = (x - spec.a) / (spec.b - spec.a)
+        out = np.full(x.shape, c0)
+        block = max(1, (1 << 20) // max(x.size, 1))
+        for start in range(0, len(A), block):
+            m = np.arange(start + 1, min(start + block, len(A)) + 1)
+            arg = 2.0 * np.pi * np.outer(u, m)
+            out += np.cos(arg) @ A[m - 1] + np.sin(arg) @ B[m - 1]
     return float(out[0]) if scalar else out
 
 
 def signal_values_uniform(spec, N):
     """S at the N+1 uniform points a + (b-a)*i/N, i = 0..N.
 
-    Uses the exact modular folding for S2 on [0, 1]; other kinds are cheap to
-    evaluate directly.
+    For a series, term m at u = i/N depends on m only through m mod N: the
+    amplitudes fold into an N-point spectrum A + iB, and one FFT sums the
+    series exactly, as Re((A + iB) e^{-i theta}) = A cos(theta) + B sin(theta).
     """
-    if spec.kind == "closed_form_S2" and spec.a == 0.0 and spec.b == 1.0:
-        return _s2_unit_grid(N)
-    x = spec.a + (spec.b - spec.a) * np.arange(N + 1) / N
-    return evaluate_signal(spec, x)
+    if spec.kind == "tabulated":
+        return evaluate_signal(spec, spec.a + (spec.b - spec.a) * np.arange(N + 1) / N)
+    c0, A, B = trig_amplitudes(spec)
+    k = np.arange(1, len(A) + 1) % N
+    vals = c0 + np.fft.fft(np.bincount(k, A, N) + 1j * np.bincount(k, B, N)).real
+    return np.append(vals, vals[0])  # u = 1 wraps to u = 0
 
 
 def validate_stability(spec, n):
-    """Check sup|S| <= 1-eps on 10*n+1 points and, for closed forms, |S'| <= L."""
-    vals = signal_values_uniform(spec, 10 * n)
-    sup = float(np.max(np.abs(vals)))
-    if sup > 1.0 - spec.stability_eps + 1e-12:
+    """Certify sup|S| <= 1-eps on all of [a, b], hence for every n; check |S'| <= L.
+
+    Exact for piecewise-linear tabulated S.  A series has |dS/du| <= slope_u =
+    2 pi sum_m m(|A_m| + |B_m|), so sup|S| <= max|S(i/N)| + slope_u/(2N), with
+    N a power of two keeping that slack within _CERT_SLACK * eps.  |S'| is
+    checked by finite differences on that grid.  Returns the bound on sup|S|.
+    """
+    if spec.kind == "tabulated":
+        vals = np.asarray(spec.values, dtype=float)
+        bound = float(np.max(np.abs(vals)))
+    else:
+        _, A, B = trig_amplitudes(spec)
+        slope_u = 2.0 * np.pi * float(np.arange(1, len(A) + 1) @ (np.abs(A) + np.abs(B)))
+        need = min(slope_u / (2.0 * _CERT_SLACK * spec.stability_eps), _CERT_MAX_POINTS)
+        vals = signal_values_uniform(spec, 1 << (math.ceil(need) - 1).bit_length())
+        bound = float(np.max(np.abs(vals))) + slope_u / (2 * (len(vals) - 1))
+    if not bound <= 1.0 - spec.stability_eps + 1e-12:
+        raise ValidationError(f"signal violates stability: sup|S| <= {bound:.6g} is not"
+                              f" within 1-eps={1 - spec.stability_eps:.6g}")
+    deriv = float(np.max(np.abs(np.diff(vals)))) * (len(vals) - 1) / (spec.b - spec.a)
+    if not deriv <= spec.lipschitz_L * (1.0 + 1e-6):
         raise ValidationError(
-            f"signal violates stability: sup|S|={sup:.6g} > 1-eps={1 - spec.stability_eps:.6g}")
-    if spec.kind.startswith("closed_form"):
-        step = (spec.b - spec.a) / (10 * n)
-        deriv = float(np.max(np.abs(np.diff(vals)))) / step
-        if deriv > spec.lipschitz_L * (1.0 + 1e-6):
-            raise ValidationError(
-                f"signal violates Lipschitz bound: |S'| ~ {deriv:.6g} > L={spec.lipschitz_L:.6g}")
-    return sup
+            f"signal violates Lipschitz bound: |S'| ~ {deriv:.6g} > L={spec.lipschitz_L:.6g}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -184,6 +195,8 @@ class NoiseSpec:
             raise ValidationError(f"unknown noise family {self.family!r}; valid: {_NOISE_FAMILIES}")
         if self.varsigma is None:
             object.__setattr__(self, "varsigma", self.default_varsigma())
+        if not np.isfinite(np.array([self.varsigma, self.radius], float)).all():
+            raise ValidationError("varsigma and radius must be finite (no NaN or inf)")
         if self.family != "none" and self.varsigma < 1.0:
             raise ValidationError("varsigma must be >= 1")
         if self.family == "bounded_symmetric" and self.radius <= 1.0:
@@ -227,9 +240,7 @@ class NoiseSpec:
             cfg["radius"] = self.radius
         return cfg
 
-    @classmethod
-    def from_dict(cls, cfg):
-        return cls(**cfg)
+    from_dict = classmethod(_from_dict)
 
 
 @dataclass(frozen=True)
@@ -272,12 +283,9 @@ def generate_trajectory(spec, noise, n, seed, y0=0.0, signal_values=None, valida
         raise ValidationError(f"signal_values must have length n+1={n + 1}")
     rng = np.random.default_rng(seed)
     xi = noise.draw(rng, n)
-    y = np.empty(n + 1)
-    y[0] = y0
-    s_list = s.tolist()
-    xi_list = xi.tolist()
-    yy = float(y0)
-    out = y.tolist()
+    s_list, xi_list = s.tolist(), xi.tolist()
+    out = [float(y0)] * (n + 1)
+    yy = out[0]
     for j in range(1, n + 1):
         yy = s_list[j] * yy + xi_list[j - 1]
         out[j] = yy

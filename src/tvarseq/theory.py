@@ -10,16 +10,19 @@ sigma_star(S) = integral of 1 - S^2 over [a, b].
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .signals import evaluate_signal
+from .signals import trig_amplitudes
 
 
 def sigma_star(spec):
-    """Integral of 1 - S(u)^2 over [a, b], adaptive quadrature to 1e-8."""
-    val, _ = quad(lambda u: 1.0 - evaluate_signal(spec, u) ** 2,
-                  spec.a, spec.b, epsabs=0.0, epsrel=1e-8, limit=200)
-    return val
+    """Integral of 1 - S(u)^2 over [a, b], exact: Parseval for a series; a tabulated
+    S is linear on each cell of width h, where S^2 integrates to h(v0^2 + v0 v1 + v1^2)/3."""
+    span = spec.b - spec.a
+    if spec.kind == "tabulated":
+        v0, v1 = np.asarray(spec.values[:-1]), np.asarray(spec.values[1:])
+        return span - span / (3 * len(v0)) * float(np.sum(v0 * v0 + v0 * v1 + v1 * v1))
+    c0, A, B = trig_amplitudes(spec)
+    return span * (1.0 - c0 * c0 - 0.5 * float(A @ A + B @ B))
 
 
 def pinsker_constant(k, r):
@@ -117,7 +120,7 @@ def efficiency_ratio(rbar, spec, k, r, n, signal_id=""):
     as n grows, with no sharp finite-n target.
     """
     ss = sigma_star(spec)
-    ups = ((spec.b - spec.a) * ss) ** (-2.0 * k / (2 * k + 1))
+    ups = upsilon(spec, k)
     rate = float(n) ** (2.0 * k / (2 * k + 1))
     lk = pinsker_constant(k, r)
     normalized = rate * ups * rbar * (spec.b - spec.a)

@@ -62,6 +62,25 @@ class TestEstimate:
         assert run(tmp_path, "estimate", "--signal", "s1", "--n", "500",
                    "--delta", "0.2") == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("formats", ["xml", "csv,xml"])
+    def test_format_rejected(self, tmp_path, formats):
+        assert run(tmp_path, "estimate", "--signal", "s1", "--n", "500",
+                   "--format", formats) == EXIT_VALIDATION
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_spec_key_rejected(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "series", "coefficients": [0.0, 0.3],
+                                    "stability_eps": 0.3, "lipschitz_L": 10.0, "bogus": 1}))
+        assert run(tmp_path, "estimate", "--signal", f"series:{spec}",
+                   "--n", "500") == EXIT_VALIDATION
+        assert "bogus" in capsys.readouterr().err
+
+    def test_malformed_config_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json")
+        assert run(tmp_path, "estimate", "--config", str(cfg)) == EXIT_VALIDATION
+
     def test_small_n_rejected(self, tmp_path):
         assert run(tmp_path, "estimate", "--signal", "s1", "--n", "50") == EXIT_VALIDATION
 
@@ -82,6 +101,11 @@ class TestRiskTable:
                 == (tmp_path / "b" / "risk_table.csv").read_bytes())
         assert ((tmp_path / "a" / "risk_table.json").read_bytes()
                 == (tmp_path / "b" / "risk_table.json").read_bytes())
+
+    def test_format_rejected(self, tmp_path):
+        assert run(tmp_path, "risk-table", "--signal", "s1", "--n", "200", "--M", "2",
+                   "--format", "csv,xml") == EXIT_VALIDATION
+        assert list(tmp_path.iterdir()) == []
 
     def test_noise_all(self, tmp_path):
         assert run(tmp_path, "risk-table", "--signal", "s1", "--n", "200",

@@ -199,3 +199,9 @@ class TestStepFunction:
         assert f(0.2) == 1.0   # right-closed cells
         assert f(0.2 + 1e-12) == 2.0
         assert f(1.0) == 5.0
+
+
+def test_shared_definitions():
+    from tvarseq import sequential
+    assert ConfigurationError is sequential.ConfigurationError
+    assert build_weight_grid(10000).d == sequential.grid_size(10000)

@@ -1,6 +1,9 @@
 """Signal evaluation, noise families, and trajectory generation."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -140,3 +143,111 @@ class TestTrajectory:
     def test_stability_validation_passes_corpus(self, s1, s2):
         validate_stability(s1, 1000)
         validate_stability(s2, 1000)
+
+
+def random_series(rng, a=-1.0, b=2.0, n_freq=40, eps=0.5):
+    """A cos+sin series on [a, b] with frequencies 1..n_freq and a constant term."""
+    beta = rng.normal(scale=0.01, size=2 * n_freq + 1)
+    return SignalSpec(kind="series", a=a, b=b, coefficients=tuple(beta.tolist()),
+                      stability_eps=eps, lipschitz_L=1e3)
+
+
+class TestSeriesEngine:
+    def test_fold_matches_scattered_with_aliasing(self):
+        # frequencies up to 40 on a 16-point grid: every m >= 16 aliases onto m mod 16
+        spec = random_series(np.random.default_rng(3))
+        N = 16
+        x = spec.a + (spec.b - spec.a) * np.arange(N + 1) / N
+        np.testing.assert_allclose(signal_values_uniform(spec, N), evaluate_signal(spec, x),
+                                   rtol=0, atol=1e-13)
+
+    def test_s1_fold_is_the_cosine(self, s1):
+        for N in (200, 501, 10 ** 4):
+            x = np.arange(N + 1) / N
+            np.testing.assert_allclose(signal_values_uniform(s1, N), 0.5 * np.cos(2 * np.pi * x),
+                                       rtol=0, atol=1e-15)
+
+    def test_series_matches_basis_functions(self):
+        spec = random_series(np.random.default_rng(4), n_freq=3)
+        x = np.linspace(spec.a, spec.b, 7)
+        expected = sum(beta * tv.trig_fn(i, x, spec.a, spec.b)
+                       for i, beta in enumerate(spec.coefficients, start=1))
+        np.testing.assert_allclose(evaluate_signal(spec, x), expected, rtol=0, atol=1e-15)
+
+
+def peaked_between_grid_points():
+    """S = 0.605 cos(2 pi 50 (x - 0.0005)): the peak 0.605 lies midway between the
+    points i/1000, where |S| is at most 0.5976."""
+    phi = 2 * math.pi * 50 * 0.0005
+    beta = [0.0] * 101
+    beta[99] = 0.605 * math.cos(phi) / math.sqrt(2)
+    beta[100] = 0.605 * math.sin(phi) / math.sqrt(2)
+    return SignalSpec(kind="series", coefficients=tuple(beta), stability_eps=0.4,
+                      lipschitz_L=400.0)
+
+
+class TestStabilityCertificate:
+    def test_rejects_peak_between_scan_points(self):
+        spec = peaked_between_grid_points()
+        assert np.max(np.abs(signal_values_uniform(spec, 1000))) < 0.6
+        with pytest.raises(ValidationError, match="stability"):
+            validate_stability(spec, 100)
+
+    def test_bound_is_certified_and_tight(self, s1, s2):
+        bound = validate_stability(s1, 1000)
+        assert 0.5 <= bound <= 0.5 + 1e-3 * s1.stability_eps
+        bound = validate_stability(s2, 1000)
+        assert S2_AT_ZERO <= bound <= S2_AT_ZERO + 1e-3 * s2.stability_eps
+
+    def test_tabulated_is_exact(self):
+        tent = dict(kind="tabulated", values=(0.0, 0.9, 0.0), lipschitz_L=1.8)
+        assert validate_stability(SignalSpec(stability_eps=0.1, **tent), 200) == 0.9
+        with pytest.raises(ValidationError, match="stability"):
+            validate_stability(SignalSpec(stability_eps=0.11, **tent), 200)
+        with pytest.raises(ValidationError, match="Lipschitz"):
+            validate_stability(SignalSpec(stability_eps=0.1, **{**tent, "lipschitz_L": 1.79}),
+                               200)
+
+    def test_lipschitz_checked_for_series(self):
+        # 0.3 psi_2 has |S'| = 0.3 sqrt(2) 2 pi = 2.67
+        steep = SignalSpec(kind="series", coefficients=(0.0, 0.3), stability_eps=0.4,
+                           lipschitz_L=2.6)
+        with pytest.raises(ValidationError, match="Lipschitz"):
+            validate_stability(steep, 200)
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("coefficients", (math.nan, 0.1)), ("coefficients", (0.0, math.inf)),
+        ("a", -math.inf), ("b", math.inf), ("stability_eps", math.nan),
+        ("lipschitz_L", math.nan), ("lipschitz_L", math.inf)])
+    def test_non_finite_series_rejected(self, field, value):
+        cfg = {"kind": "series", "coefficients": (0.0, 0.1), field: value}
+        with pytest.raises(ValidationError, match="finite"):
+            SignalSpec(**cfg)
+
+    def test_non_finite_tabulated_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            SignalSpec(kind="tabulated", values=(0.0, math.nan))
+
+    def test_non_finite_noise_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            NoiseSpec("bounded_symmetric", radius=math.nan)
+
+    def test_unknown_key_named(self):
+        with pytest.raises(ValidationError, match="bogus"):
+            SignalSpec.from_dict({"kind": "series", "coefficients": [0.1], "bogus": 1})
+        with pytest.raises(ValidationError, match="bogus"):
+            NoiseSpec.from_dict({"family": "gaussian_std", "bogus": 1})
+
+    def test_missing_kind_named(self):
+        with pytest.raises(ValidationError, match="kind"):
+            SignalSpec.from_dict({"coefficients": [0.1]})
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(tv.__file__))
+    code = "import sys, tvarseq; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "False"

@@ -36,6 +36,23 @@ class TestSigmaStar:
         c = 0.6
         assert sigma_star(const_signal(c)) == pytest.approx(1.0 - c ** 2, abs=1e-9)
 
+    def test_series_by_parseval(self):
+        beta = np.random.default_rng(5).normal(scale=0.05, size=9)
+        spec = SignalSpec(kind="series", a=-1.0, b=2.0, coefficients=tuple(beta.tolist()),
+                          stability_eps=0.5, lipschitz_L=100.0)
+        assert sigma_star(spec) == pytest.approx(3.0 - float(beta @ beta), rel=0, abs=1e-14)
+
+    def test_s2_closed_form(self, s2):
+        j = np.arange(1, 100001, dtype=float)
+        exact = 1.0 - 0.01 - 0.5 * float(np.sum((j + 3.0) ** -4))
+        assert sigma_star(s2) == pytest.approx(exact, rel=1e-15, abs=0)
+
+    def test_tabulated_exact(self):
+        # S is linear on [0, 1/2] and [1/2, 1]: int S^2 = (1/2)(0.25 + (0.25 - 0.1 + 0.04))/3
+        spec = SignalSpec(kind="tabulated", values=(0.0, 0.5, -0.2), stability_eps=0.5,
+                          lipschitz_L=2.0)
+        assert sigma_star(spec) == pytest.approx(1.0 - 0.5 * 0.44 / 3.0, rel=0, abs=1e-14)
+
     def test_bounds_on_corpus(self, s1, s2):
         for spec in (s1, s2, const_signal(0.3)):
             v = sigma_star(spec)
