@@ -13,8 +13,8 @@ from .pipeline import EstimateResult, estimate_signal, make_context
 from .selection import (SelectionResult, WeightGrid, build_weight_grid, criterion,
                         default_delta, empirical_error, penalty, select,
                         step_function)
-from .sequential import (GridPartition, RegressionSample, SeqPointResult,
-                         build_regression, compute_partition, preliminary_estimate,
+from .sequential import (GridPartition, RegressionSample, build_regression,
+                         compute_partition, preliminary_estimate,
                          project_estimate, run_stopping_rule, sequential_estimate,
                          threshold)
 from .signals import (NoiseSpec, SignalSpec, Trajectory, evaluate_signal,

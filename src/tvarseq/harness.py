@@ -16,8 +16,8 @@ import numpy as np
 
 from . import pipeline as pl
 from .io import write_csv, write_json
-from .signals import NoiseSpec, generate_trajectory, replication_seed, \
-    signal_values_uniform, validate_stability
+from .signals import generate_trajectory, replication_seed, signal_values_uniform, \
+    validate_stability
 from .sequential import build_regression
 
 
@@ -66,7 +66,7 @@ REPORT_COLUMNS = ("signal", "n", "noise", "M", "rbar", "rbar_star",
 
 
 def run_cell(spec, noise, n, M, base_seed, mu0=0.5, delta=None, signal_id="",
-             ctx=None, debug_noiseless=False, gating="pointwise"):
+             ctx=None):
     """Monte-Carlo risk for one cell: R_bar, R_bar_star, Gamma frequency."""
     if M < 1:
         raise ValueError("need M >= 1")
@@ -84,13 +84,9 @@ def run_cell(spec, noise, n, M, base_seed, mu0=0.5, delta=None, signal_id="",
     k_sum = 0.0
     t_sum = 0.0
     for r in range(1, M + 1):
-        if debug_noiseless:
-            res = pl.estimate_signal(spec, noise, n, 0, ctx=ctx, debug_noiseless=True)
-        else:
-            traj = generate_trajectory(spec, noise, n, replication_seed(base_seed, r),
-                                       signal_values=S_design, validate=False)
-            reg = build_regression(traj, ctx.part, gating=gating)
-            res = pl.estimate_from_regression(reg, ctx, gating=gating)
+        traj = generate_trajectory(spec, noise, n, replication_seed(base_seed, r),
+                                   signal_values=S_design, validate=False)
+        res = pl.estimate_from_regression(build_regression(traj, ctx.part), ctx)
         diff = res.selection.S_star - S_grid
         sq_err += diff * diff
         mean_est += res.selection.S_star

@@ -2,8 +2,6 @@
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import basis as fb
 from . import selection as sel
 from . import sequential as seq
@@ -26,7 +24,7 @@ def make_context(n, a=0.0, b=1.0, mu0=0.5, delta=None):
         delta = sel.default_delta(n)
     return PipelineContext(part=part,
                            basis=fb.TrigBasis(a, b, part.d),
-                           grid=sel.build_weight_grid(n, a, b, part.d),
+                           grid=sel.build_weight_grid(n, a, b),
                            delta=delta)
 
 
@@ -40,17 +38,14 @@ class EstimateResult:
     selection: sel.SelectionResult
 
 
-def estimate_from_regression(reg, ctx, gating="pointwise"):
+def estimate_from_regression(reg, ctx):
     coeffs = fb.fourier_coefficients(ctx.basis, reg.Y, reg.sigma2)
-    # under pointwise gating the zeros are already in Y; the selection-level
-    # gate only engages in global mode
-    gate = reg.gamma_all if gating == "global" else True
-    selection = sel.select(coeffs, ctx.grid, ctx.delta, gate, ctx.basis)
+    selection = sel.select(coeffs, ctx.grid, ctx.delta, ctx.basis)
     return EstimateResult(context=ctx, reg=reg, coeffs=coeffs, selection=selection)
 
 
 def estimate_signal(spec, noise, n, seed, mu0=0.5, delta=None, ctx=None,
-                    signal_values=None, debug_noiseless=False, gating="pointwise"):
+                    debug_noiseless=False):
     """Run the whole pipeline on one simulated trajectory.
 
     debug_noiseless bypasses simulation and the sequential stage entirely:
@@ -61,13 +56,10 @@ def estimate_signal(spec, noise, n, seed, mu0=0.5, delta=None, ctx=None,
     if ctx is None:
         ctx = make_context(n, spec.a, spec.b, mu0, delta)
     if debug_noiseless:
-        S_grid = signal_values_on_grid(spec, ctx.part)
-        reg = seq.RegressionSample(z=ctx.part.z, Y=S_grid,
-                                   sigma2=np.zeros(ctx.part.d), gamma_all=True)
-        return estimate_from_regression(reg, ctx)
-    traj = generate_trajectory(spec, noise, n, seed, signal_values=signal_values)
-    reg = seq.build_regression(traj, ctx.part, gating=gating)
-    return estimate_from_regression(reg, ctx, gating=gating)
+        reg = seq.noiseless_regression(ctx.part, signal_values_on_grid(spec, ctx.part))
+    else:
+        reg = seq.build_regression(generate_trajectory(spec, noise, n, seed), ctx.part)
+    return estimate_from_regression(reg, ctx)
 
 
 def signal_values_on_grid(spec, part):

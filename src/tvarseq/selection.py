@@ -44,10 +44,10 @@ class WeightGrid:
         return len(self.alphas)
 
 
-def build_weight_grid(n, a=0.0, b=1.0, d=None, k_star=None, m=None, eps=None):
+def build_weight_grid(n, a=0.0, b=1.0):
     """Construct the adaptation grid and all weight vectors, truncated to 1..d.
 
-    Defaults follow the simulation instantiation: k_star = 150 + [sqrt(ln n)],
+    The simulation instantiation: d = grid_size(n), k_star = 150 + [sqrt(ln n)],
     m = [ln^2 n], eps = 1/ln n.  For alpha = (k, t) the profile is flat below
     j_star, decays as 1 - (j/omega_alpha)^k up to omega_alpha, and is zero
     beyond.
@@ -55,14 +55,10 @@ def build_weight_grid(n, a=0.0, b=1.0, d=None, k_star=None, m=None, eps=None):
     if n < 100:
         raise ConfigurationError(f"need n >= 100, got {n}")
     ln_n = math.log(n)
-    if k_star is None:
-        k_star = 150 + int(math.sqrt(ln_n))
-    if m is None:
-        m = int(ln_n ** 2)
-    if eps is None:
-        eps = 1.0 / ln_n
-    if d is None:
-        d = grid_size(n)
+    k_star = 150 + int(math.sqrt(ln_n))
+    m = int(ln_n ** 2)
+    eps = 1.0 / ln_n
+    d = grid_size(n)
 
     k = np.arange(1, k_star + 1, dtype=float)[:, None]       # (k_star, 1)
     t = eps * np.arange(1, m + 1, dtype=float)[None, :]      # (1, m)
@@ -124,25 +120,21 @@ class SelectionResult:
     lambda_hat: np.ndarray = field(repr=False)
     J_values: np.ndarray = field(repr=False)
     S_star: np.ndarray = field(repr=False)
-    delta: float = 0.0
-    gamma: bool = True
 
 
-def select(coeffs, grid, delta, gamma, basis):
+def select(coeffs, grid, delta, basis):
     """argmin_alpha J_d(lambda_alpha); ties go to the smallest (k, t).
 
-    The estimate values S_star at the z grid are gated by the Gamma event:
-    all zeros when gamma is false.
+    S_star holds the selected estimate's values at the z grid.
     """
     if grid.nu == 0:
         raise ConfigurationError("empty weight grid")
     J = criterion(grid.lam, coeffs, delta, grid.a, grid.b, grid.d)
     idx = int(np.argmin(J))  # first minimum = lexicographically smallest alpha
     lam_hat = grid.lam[idx]
-    S_star = weighted_estimate_values(lam_hat, coeffs, basis) if gamma else np.zeros(grid.d)
     return SelectionResult(alpha_hat=grid.alphas[idx], alpha_index=idx,
-                           lambda_hat=lam_hat, J_values=J, S_star=S_star,
-                           delta=delta, gamma=gamma)
+                           lambda_hat=lam_hat, J_values=J,
+                           S_star=weighted_estimate_values(lam_hat, coeffs, basis))
 
 
 def weighted_estimate_values(lam, coeffs, basis):

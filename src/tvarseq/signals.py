@@ -245,12 +245,11 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One simulated AR(1) path y_0..y_n on design points x_j = a + (b-a)*j/n."""
+    """One simulated AR(1) path y_0 = 0, y_1..y_n on design points x_j = a + (b-a)*j/n."""
 
     n: int
     a: float
     b: float
-    y0: float
     x: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     seed: int
@@ -266,8 +265,8 @@ def replication_seed(base_seed, r):
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(r,))
 
 
-def generate_trajectory(spec, noise, n, seed, y0=0.0, signal_values=None, validate=True):
-    """Simulate y_j = S(x_j) y_{j-1} + xi_j for j = 1..n.
+def generate_trajectory(spec, noise, n, seed, signal_values=None, validate=True):
+    """Simulate y_j = S(x_j) y_{j-1} + xi_j for j = 1..n from y_0 = 0.
 
     signal_values may carry precomputed S(x_j) for j = 0..n (the j = 0 entry is
     unused); passing it skips re-evaluating S across replications.
@@ -284,12 +283,12 @@ def generate_trajectory(spec, noise, n, seed, y0=0.0, signal_values=None, valida
     rng = np.random.default_rng(seed)
     xi = noise.draw(rng, n)
     s_list, xi_list = s.tolist(), xi.tolist()
-    out = [float(y0)] * (n + 1)
-    yy = out[0]
+    out = [0.0] * (n + 1)
+    yy = 0.0
     for j in range(1, n + 1):
         yy = s_list[j] * yy + xi_list[j - 1]
         out[j] = yy
     y = np.asarray(out)
     x = spec.a + (spec.b - spec.a) * np.arange(n + 1) / n
     seed_repr = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
-    return Trajectory(n=n, a=spec.a, b=spec.b, y0=y0, x=x, y=y, seed=seed_repr)
+    return Trajectory(n=n, a=spec.a, b=spec.b, x=x, y=y, seed=seed_repr)

@@ -67,25 +67,11 @@ class SobolevSpec:
 
 
 def sobolev_membership(theta, spec):
-    """Weighted sum sum_j a_j theta_j^2 and whether it is within the budget r.
-
-    theta is a finite truncation of the coefficient sequence; terms whose
-    running contribution is negligible (below 1e-14 of the running sum for 50
-    consecutive indices) are dropped early.
-    """
+    """Weighted sum sum_j a_j theta_j^2 over all given terms, and whether it is
+    within the budget r.  theta is a finite truncation of the coefficient sequence."""
     theta = np.asarray(theta, dtype=float)
     a_j = sobolev_weights(np.arange(1, len(theta) + 1), spec.k, spec.b - spec.a)
-    terms = a_j * theta ** 2
-    total = 0.0
-    quiet = 0
-    for term in terms:
-        total += term
-        if total > 0 and term < 1e-14 * total:
-            quiet += 1
-            if quiet >= 50:
-                break
-        else:
-            quiet = 0
+    total = float(a_j @ theta ** 2)
     return total, total <= spec.r
 
 

@@ -24,7 +24,7 @@ from tvarseq.pipeline import (
     signal_values_on_grid,
 )
 from tvarseq.selection import empirical_error
-from tvarseq.sequential import build_regression, compute_partition, estimate_point
+from tvarseq.sequential import build_regression, compute_partition
 from tvarseq.signals import (
     NoiseSpec,
     SignalSpec,
@@ -157,8 +157,7 @@ def test_criterion_04_structural_identities(s1, gaussian):
     for r in range(1, 26):
         traj = generate_trajectory(s1, gaussian, 1000, replication_seed(BASE_SEED, r),
                                    validate=False)
-        for l in range(1, part.d + 1):
-            p = estimate_point(traj.y, part, l)
+        for l, p in enumerate(build_regression(traj, part).points, start=1):
             iota, k2 = int(part.iota[l - 1]), int(part.k2[l - 1])
             u = np.concatenate([traj.y[iota:k2 - 1] ** 2, [p.H]])
             mass = float(np.sum(u[:p.tau - iota - 1])) + p.kappa ** 2 * u[p.tau - iota - 1]

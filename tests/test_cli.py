@@ -152,3 +152,32 @@ class TestConfigFile:
         assert run(tmp_path, "simulate", "--config", str(cfg), "--n", "120") == EXIT_OK
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 123  # flag n=120 wins over config n=150
+
+    @pytest.mark.parametrize("cfg, named", [
+        ({"n": [500]}, "'n'"),
+        ({"seed": None}, "'seed'"),
+        ({"signal": 5}, "signal"),
+        ({"delta": "abc"}, "--delta"),
+        ({"debug_noiseless": "yes"}, "'debug_noiseless'"),
+        ({"seeds": 3}, "'seeds'"),
+        ([1, 2], "JSON object"),
+    ])
+    def test_bad_value_rejected(self, tmp_path, capsys, cfg, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(tmp_path, "estimate", "--config", str(path)) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, flags", [
+        ({"delta": "0.05", "n": "500", "seed": 7}, ["--delta", "0.05", "--n", "500", "--seed", "7"]),
+        ({"debug_noiseless": True, "mu0": 0.4}, ["--debug-noiseless", "--mu0", "0.4"]),
+    ])
+    def test_values_read_as_their_flag(self, tmp_path, cfg, flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for sub, argv in (("config", ["--config", str(path)]), ("flags", flags)):
+            (tmp_path / sub).mkdir()
+            assert run(tmp_path / sub, "estimate", *argv) == EXIT_OK
+        for name in ("seq_points.csv", "selection.json"):
+            assert ((tmp_path / "config" / name).read_bytes()
+                    == (tmp_path / "flags" / name).read_bytes())

@@ -23,12 +23,6 @@ class TestRunCell:
         c2 = run_cell(s1, gaussian, 200, 5, base_seed=100)
         assert c1.rbar != c2.rbar
 
-    def test_noiseless_debug_deterministic(self, s1, gaussian):
-        c1 = run_cell(s1, gaussian, 500, 1, base_seed=0, debug_noiseless=True)
-        c2 = run_cell(s1, gaussian, 500, 1, base_seed=7, debug_noiseless=True)
-        assert c1.rbar == c2.rbar  # squared bias only, independent of seed
-        assert c1.gamma_frequency == 1.0
-
     def test_m_validation(self, s1, gaussian):
         with pytest.raises(ValueError):
             run_cell(s1, gaussian, 200, 0, base_seed=1)

@@ -21,20 +21,20 @@ from tvarseq.selection import (
 
 class TestWeightGrid:
     def test_n10000_dimensions(self):
-        grid = build_weight_grid(10000, d=101)
+        grid = build_weight_grid(10000)
         assert grid.k_star == 153
         assert grid.m == 84
         assert grid.eps == pytest.approx(0.108574, abs=1e-6)
         assert grid.nu == 153 * 84
 
     def test_weight_range_and_monotonicity(self):
-        grid = build_weight_grid(1000, d=31)
+        grid = build_weight_grid(1000)
         lam = grid.lam
         assert np.all(lam >= 0.0) and np.all(lam <= 1.0)
         assert np.all(np.diff(lam, axis=1) <= 1e-14)
 
     def test_head_indicator(self):
-        grid = build_weight_grid(1000, d=31)
+        grid = build_weight_grid(1000)
         # lam(j) == 1 exactly on j < j_star (vacuous rows allowed: j_star
         # stays below 1 until n is astronomically large)
         j = np.arange(1, 32)
@@ -46,13 +46,13 @@ class TestWeightGrid:
         np.testing.assert_allclose(grid.lam[interior], expected[interior], atol=1e-12)
 
     def test_tail_cutoff(self):
-        grid = build_weight_grid(1000, d=31)
+        grid = build_weight_grid(1000)
         j = np.arange(1, 32)
         beyond = j[None, :] > grid.omega[:, None]
         assert np.all(grid.lam[beyond] == 0.0)
 
     def test_declared_alphas(self):
-        grid = build_weight_grid(200, d=15)
+        grid = build_weight_grid(200)
         eps = 1.0 / math.log(200)
         k, t = grid.alphas[0]
         assert k == 1 and t == pytest.approx(eps, abs=1e-12)
@@ -133,17 +133,11 @@ class TestSelect:
         d = ctx_200.part.d
         coeffs = FourierCoeffs(theta_hat=np.zeros(d), s_jd=np.zeros(d))
         grid = ctx_200.grid
-        res = select(coeffs, grid, ctx_200.delta, True, ctx_200.basis)
+        res = select(coeffs, grid, ctx_200.delta, ctx_200.basis)
         # all-zero coefficients make every J equal: first alpha wins
         assert np.ptp(res.J_values) == 0.0
         assert res.alpha_index == 0
         assert res.alpha_hat == grid.alphas[0]
-
-    def test_gating_zeroes_estimate(self, ctx_200, rng):
-        d = ctx_200.part.d
-        coeffs = FourierCoeffs(theta_hat=rng.normal(size=d), s_jd=np.zeros(d))
-        res = select(coeffs, ctx_200.grid, ctx_200.delta, False, ctx_200.basis)
-        assert np.all(res.S_star == 0.0)
 
     def test_noiseless_selection_near_oracle(self, s1, ctx_1000):
         # noiseless coefficients with zero variance proxies: the criterion is
@@ -155,7 +149,7 @@ class TestSelect:
         S_grid = signal_values_on_grid(s1, ctx_1000.part)
         coeffs = fourier_coefficients(basis, S_grid, np.zeros(d))
         grid = ctx_1000.grid
-        res = select(coeffs, grid, 1e-6, True, basis)
+        res = select(coeffs, grid, 1e-6, basis)
         errors = np.array([
             empirical_error(S_grid, basis.phi @ (grid.lam[i] * coeffs.theta_hat),
                             0.0, 1.0, d)
@@ -168,7 +162,7 @@ class TestSelect:
         d = ctx_200.part.d
         coeffs = FourierCoeffs(theta_hat=rng.normal(size=d),
                                s_jd=rng.uniform(0.01, 0.05, d))
-        res = select(coeffs, ctx_200.grid, ctx_200.delta, True, ctx_200.basis)
+        res = select(coeffs, ctx_200.grid, ctx_200.delta, ctx_200.basis)
         shifted = res.J_values + 42.0
         assert int(np.argmin(shifted)) == res.alpha_index
 

@@ -132,6 +132,15 @@ class TestSobolev:
         _, outside = sobolev_membership(theta, SobolevSpec(k=2, r=total / 2))
         assert not outside
 
+    def test_late_term_counts(self):
+        # a high-frequency term after a long run of zeros still enters the sum
+        theta = np.zeros(62)
+        theta[0], theta[61] = 1.0, 0.01
+        a62 = float(sobolev_weights(np.array([62]), 2, 1.0)[0])
+        total, member = sobolev_membership(theta, SobolevSpec(k=2, r=2.0))
+        assert total == pytest.approx(1.0 + 1e-4 * a62, rel=1e-12)
+        assert total > 1.4e5 and not member
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             SobolevSpec(k=1, r=1.0)
