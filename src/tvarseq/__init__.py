@@ -11,8 +11,7 @@ from .beta import BetaEstimate, beta_error, project_coefficients
 from .harness import CellResult, RiskReport, run_cell, run_table
 from .pipeline import EstimateResult, estimate_signal, make_context
 from .selection import (SelectionResult, WeightGrid, build_weight_grid, criterion,
-                        default_delta, empirical_error, penalty, select,
-                        step_function)
+                        default_delta, empirical_error, select)
 from .sequential import (GridPartition, RegressionSample, build_regression,
                          compute_partition, preliminary_estimate,
                          project_estimate, run_stopping_rule, sequential_estimate,

@@ -37,16 +37,13 @@ class TrigBasis:
         self.a = float(a)
         self.b = float(b)
         self.d = int(d)
-        self.z = a + (b - a) * np.arange(1, d + 1) / d
-        # phi[l-1, j-1] = phi_j(z_l); reused across all inner products
-        self.phi = np.column_stack([trig_fn(j, self.z, a, b) for j in range(1, d + 1)])
+        offset = (b - a) * np.arange(1, d + 1) / d
+        self.z = a + offset
+        # phi[l-1, j-1] = phi_j(z_l); reused across all inner products.  It is
+        # evaluated at z_l - a = offset, since recomputing z_l - a from z_l
+        # cancels digits when |a| >> b - a and breaks the exact orthonormality
+        self.phi = np.column_stack([trig_fn(j, offset, 0.0, b - a) for j in range(1, d + 1)])
         self.phi.setflags(write=False)
-
-    def eval(self, j, x):
-        """phi_j(x) for 1 <= j <= d."""
-        if not 1 <= j <= self.d:
-            raise IndexError(f"basis index {j} outside 1..{self.d}")
-        return trig_fn(j, x, self.a, self.b)
 
     def inner(self, f_values, g_values):
         """Discrete inner product (f, g)_d of values on the z grid."""

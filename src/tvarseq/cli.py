@@ -16,7 +16,7 @@ from .harness import export_report, run_table
 from .io import write_csv, write_json
 from .selection import ConfigurationError, check_delta
 from .signals import (NoiseSpec, SignalSpec, ValidationError, generate_trajectory,
-                      signal_s1, signal_s2)
+                      signal_s1, signal_s2, validate_stability)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -38,11 +38,7 @@ def resolve_signal(name):
 
 
 def resolve_noise(name):
-    if name == "all":
-        return [NoiseSpec("gaussian_std"), NoiseSpec("uniform_unit_variance")]
-    if name in NOISE_NAMES:
-        return [NoiseSpec(NOISE_NAMES[name])]
-    raise ValidationError(f"unknown noise {name!r}; valid: gaussian, uniform, none, all")
+    return NoiseSpec(NOISE_NAMES[name])
 
 
 def _int_list(text):
@@ -63,7 +59,7 @@ def ensure_out(path):
 
 def cmd_simulate(args):
     spec = resolve_signal(args.signal)
-    noise = resolve_noise(args.noise)[0]
+    noise = resolve_noise(args.noise)
     out = ensure_out(args.out)
     traj = generate_trajectory(spec, noise, args.n, args.seed)
     run_cfg = {"command": "simulate", "signal": spec.to_dict(),
@@ -76,7 +72,7 @@ def cmd_simulate(args):
 
 def _run_estimate(args):
     spec = resolve_signal(args.signal)
-    noise = resolve_noise(args.noise)[0]
+    noise = resolve_noise(args.noise)
     check_delta(args.delta)
     res = pl.estimate_signal(spec, noise, args.n, args.seed, mu0=args.mu0, delta=args.delta,
                              debug_noiseless=args.debug_noiseless)
@@ -122,7 +118,8 @@ def cmd_estimate(args):
 
 def cmd_risk_table(args):
     spec = resolve_signal(args.signal)
-    noises = resolve_noise(args.noise)
+    names = ("gaussian", "uniform") if args.noise == "all" else (args.noise,)
+    noises = [resolve_noise(name) for name in names]
     check_delta(args.delta)
     out = ensure_out(args.out)
     signal_id = args.signal if not args.signal.startswith("series:") else "series"
@@ -140,11 +137,13 @@ def cmd_pinsker(args):
     k, r = args.k, args.r
     if k is None or r is None:
         raise ValidationError("pinsker requires --k and --r")
+    if args.signal is not None:
+        spec = resolve_signal(args.signal)
+        validate_stability(spec, 0)  # the certificate covers all of [a, b], so every n
     lk = theory.pinsker_constant(k, r)
     payload = {"k": k, "r": r, "pinsker_constant": lk}
     print(f"l_{k}({r:g}) = {lk:.6f}")
     if args.signal is not None:
-        spec = resolve_signal(args.signal)
         ss = theory.sigma_star(spec)
         ups = theory.upsilon(spec, k)
         payload.update({"signal": args.signal, "sigma_star": ss, "upsilon": ups})
@@ -173,9 +172,7 @@ def cmd_beta(args):
     return EXIT_OK
 
 
-def build_parser(command=None, config=None):
-    """The argument parser; config holds --config values as defaults of
-    `command`'s options, so flags still take precedence."""
+def build_parser():
     parser = argparse.ArgumentParser(prog="tvarseq",
                                      description="Adaptive sequential estimation "
                                                  "of a time-varying AR(1) coefficient")
@@ -183,39 +180,36 @@ def build_parser(command=None, config=None):
 
     parsers = {}
 
-    def add(name, n, signal="s1", out=".", **kwargs):
+    def add(name, noises=tuple(NOISE_NAMES), signal="s1", out=".", **kwargs):
         p = parsers[name] = sub.add_parser(name, **kwargs)
         p.add_argument("--signal", default=signal, help="s1 | s2 | series:<file>")
-        p.add_argument("--noise", default="gaussian", help="gaussian | uniform | none | all")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=out, help="output directory")
-        p.add_argument("--format", type=_formats, default="csv,json",
-                       help="comma list of csv,json")
         p.add_argument("--config", help="JSON config file (flags take precedence)")
-        if n is not None:
-            p.add_argument("--n", type=int, default=n)
+        if noises:
+            p.add_argument("--noise", default="gaussian", choices=noises)
+            p.add_argument("--seed", type=int, default=0)
+        if name in ("estimate", "risk-table"):
+            p.add_argument("--format", type=_formats, default="csv,json",
+                           help="comma list of csv,json")
+        if name in ("estimate", "beta", "risk-table"):
+            p.add_argument("--delta", type=float)
+            p.add_argument("--mu0", type=float, default=0.5)
         return p
 
-    add("simulate", 200, help="write one trajectory CSV")
+    add("simulate", help="write one trajectory CSV").add_argument("--n", type=int, default=200)
     for name in ("estimate", "beta"):
-        p = add(name, 500)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--mu0", type=float, default=0.5)
+        p = add(name)
+        p.add_argument("--n", type=int, default=500)
         p.add_argument("--debug-noiseless", action="store_true")
-        if name == "beta":
-            p.add_argument("--i-max", type=int, dest="i_max")
+    parsers["beta"].add_argument("--i-max", type=int, dest="i_max")
 
-    p = add("risk-table", None, help="Monte-Carlo risk tables")
+    p = add("risk-table", noises=(*NOISE_NAMES, "all"), help="Monte-Carlo risk tables")
     p.add_argument("--n", type=_int_list, default="200,500", help="comma list of sample sizes")
     p.add_argument("--M", type=int, default=50)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--mu0", type=float, default=0.5)
 
-    p = add("pinsker", None, signal=None, out=None, help="sharp-bound constants")
+    p = add("pinsker", noises=(), signal=None, out=None, help="sharp-bound constants")
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=float)
-    if command is not None:
-        parsers[command].set_defaults(**config)
     return parser
 
 
@@ -224,28 +218,36 @@ COMMANDS = {"simulate": cmd_simulate, "estimate": cmd_estimate,
 
 
 def parse_args(argv):
-    """Flags, then --config values read as the text of their flag, then defaults."""
-    args = build_parser().parse_args(argv)
+    """Flags, then --config values read as the text of their flag, then defaults.
+
+    Each config value is passed to the parser as its flag ahead of the
+    command line, so it gets the flag's checks and a flag given later wins.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.config is None:
         return args
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValidationError(f"config {args.config} must hold a JSON object")
-    config = {}
+    flags = []
     for key, val in cfg.items():
         if key in ("command", "config") or key not in vars(args):
             raise ValidationError(f"config key {key!r} is not an option of {args.command}")
+        flag = "--" + key.replace("_", "-")
         if isinstance(getattr(args, key), bool):  # a switch such as debug_noiseless
             if not isinstance(val, bool):
                 raise ValidationError(f"config key {key!r} takes true or false, got {val!r}")
-            config[key] = val
+            flags += [flag] if val else []
         elif isinstance(val, bool) or not isinstance(val, (str, int, float)):
             raise ValidationError(f"config key {key!r} takes a string or a number, "
                                   f"got {json.dumps(val)}")
         else:
-            config[key] = str(val)
-    return build_parser(args.command, config).parse_args(argv)
+            flags.append(f"{flag}={val}")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def main(argv=None):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from . import basis as fb
 from . import selection as sel
 from . import sequential as seq
-from .signals import generate_trajectory, signal_values_uniform
+from .signals import generate_trajectory, signal_values_uniform, validate_stability
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,16 @@ def estimate_signal(spec, noise, n, seed, mu0=0.5, delta=None, ctx=None,
     debug_noiseless bypasses simulation and the sequential stage entirely:
     the regression sample is the true S on the z grid with zero variance
     proxies and Gamma = true, which makes every downstream artifact
-    deterministic.
+    deterministic.  S must pass the stability check on either path.
     """
     if ctx is None:
         ctx = make_context(n, spec.a, spec.b, mu0, delta)
+    validate_stability(spec, n)
     if debug_noiseless:
         reg = seq.noiseless_regression(ctx.part, signal_values_on_grid(spec, ctx.part))
     else:
-        reg = seq.build_regression(generate_trajectory(spec, noise, n, seed), ctx.part)
+        traj = generate_trajectory(spec, noise, n, seed, validate=False)
+        reg = seq.build_regression(traj, ctx.part)
     return estimate_from_regression(reg, ctx)
 
 

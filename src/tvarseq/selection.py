@@ -72,9 +72,7 @@ def build_weight_grid(n, a=0.0, b=1.0):
     kk = k[:, :, None]
     om = omega[:, :, None]
     js = j_star[:, :, None]
-    lam = np.where(j < js, 1.0,
-                   np.where(j <= om, 1.0 - (j / om) ** kk, 0.0))
-    lam = np.clip(lam, 0.0, 1.0)
+    lam = np.where(j < js, 1.0, np.maximum(1.0 - (j / om) ** kk, 0.0))
 
     alphas = tuple((int(ki), eps * ti) for ki in range(1, k_star + 1)
                    for ti in range(1, m + 1))
@@ -89,26 +87,20 @@ def check_delta(delta):
         raise ConfigurationError(f"delta must lie in (0, 1/12], got {delta}")
 
 
-def penalty(lam, s_jd, a, b, d):
-    """P_d(lambda) = ((b-a)/d) sum_j lambda(j)^2 s_{j,d}."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape[-1] != d:
-        raise ValueError(f"expected weight vectors of length d={d}")
-    return (b - a) / d * (lam ** 2) @ np.asarray(s_jd, dtype=float)
-
-
 def criterion(lam, coeffs, delta, a, b, d):
     """Penalized selection criterion J_d(lambda).
 
     J_d = sum lambda^2 theta_hat^2 - 2 sum lambda theta~ + delta * P_d, where
     theta~_j = theta_hat_j^2 - ((b-a)/d) s_{j,d} debiases the squared
-    coefficient.  Accepts a single weight vector or a stack of them.
+    coefficient and P_d = ((b-a)/d) sum lambda^2 s_{j,d} is the penalty; the
+    two lambda^2 sums share one product.  Accepts a single weight vector or a
+    stack of them.
     """
     check_delta(delta)
     lam = np.asarray(lam, dtype=float)
     th2 = coeffs.theta_hat ** 2
-    theta_tilde = th2 - (b - a) / d * coeffs.s_jd
-    return (lam ** 2) @ th2 - 2.0 * lam @ theta_tilde + delta * penalty(lam, coeffs.s_jd, a, b, d)
+    ws = (b - a) / d * coeffs.s_jd
+    return (lam * lam) @ (th2 + delta * ws) - 2.0 * (lam @ (th2 - ws))
 
 
 @dataclass(frozen=True)
@@ -140,23 +132,6 @@ def select(coeffs, grid, delta, basis):
 def weighted_estimate_values(lam, coeffs, basis):
     """Values of the shrinkage estimator S_hat_lambda at the z grid."""
     return basis.phi @ (np.asarray(lam, dtype=float) * coeffs.theta_hat)
-
-
-def step_function(z, values, a):
-    """Piecewise-constant extension of grid values to all of [a, b].
-
-    Returns a callable equal to values[l-1] on ]z_{l-1}, z_l] with z_0 = a.
-    """
-    z = np.asarray(z, dtype=float)
-    values = np.asarray(values, dtype=float)
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(z, x, side="left"), 0, len(z) - 1)
-        out = values[idx]
-        return float(out) if out.ndim == 0 else out
-
-    return f
 
 
 def empirical_error(S_values, estimate_values, a, b, d):

@@ -10,34 +10,26 @@ from tvarseq.basis import FourierCoeffs, TrigBasis, fourier_coefficients, trig_f
 
 class TestBasisEval:
     def test_constant(self):
-        basis = TrigBasis(0.0, 1.0, 15)
         for x in (0.0, 0.3, 1.0):
-            assert basis.eval(1, x) == pytest.approx(1.0, abs=1e-15)
+            assert trig_fn(1, x, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_cosine_branch(self):
-        basis = TrigBasis(0.0, 1.0, 15)
-        assert basis.eval(2, 0.0) == pytest.approx(math.sqrt(2), abs=1e-14)
+        assert trig_fn(2, 0.0, 0.0, 1.0) == pytest.approx(math.sqrt(2), abs=1e-14)
 
     def test_sine_branch(self):
-        basis = TrigBasis(0.0, 1.0, 15)
-        assert basis.eval(3, 0.25) == pytest.approx(math.sqrt(2), abs=1e-14)
-
-    def test_out_of_range_j(self):
-        basis = TrigBasis(0.0, 1.0, 5)
-        with pytest.raises(IndexError):
-            basis.eval(6, 0.5)
+        assert trig_fn(3, 0.25, 0.0, 1.0) == pytest.approx(math.sqrt(2), abs=1e-14)
 
     def test_general_interval(self):
         # normalization scales with the interval length
-        basis = TrigBasis(1.0, 3.0, 5)
-        assert basis.eval(1, 2.0) == pytest.approx(1.0 / math.sqrt(2), abs=1e-14)
-        assert basis.eval(2, 1.0) == pytest.approx(1.0, abs=1e-14)  # sqrt(2/2)*cos 0
+        assert trig_fn(1, 2.0, 1.0, 3.0) == pytest.approx(1.0 / math.sqrt(2), abs=1e-14)
+        assert trig_fn(2, 1.0, 1.0, 3.0) == pytest.approx(1.0, abs=1e-14)  # sqrt(2/2)*cos 0
 
     def test_trig_fn_matches_basis(self):
-        basis = TrigBasis(0.0, 1.0, 15)
-        x = np.linspace(0.0, 1.0, 7)
+        # the cached grid values are trig_fn at z_l
+        basis = TrigBasis(1.0, 3.0, 15)
         for j in (1, 2, 3, 8, 15):
-            np.testing.assert_allclose(trig_fn(j, x), basis.eval(j, x), atol=1e-14)
+            np.testing.assert_allclose(basis.phi[:, j - 1], trig_fn(j, basis.z, 1.0, 3.0),
+                                       atol=1e-14)
 
 
 class TestInnerProduct:

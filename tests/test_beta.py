@@ -1,16 +1,19 @@
 """Projection of the step-function estimate onto series coefficients."""
 
-import math
-
 import numpy as np
 import pytest
 
-from tvarseq.beta import (
-    beta_error,
-    check_orthonormal,
-    project_coefficients,
-    trig_psi,
-)
+from tvarseq.basis import trig_fn
+from tvarseq.beta import beta_error, project_coefficients
+
+
+def quadrature_cell_integrals(i_max, d, a, b, points=32):
+    """Gauss-Legendre integral of trig_fn(i) over each cell ]z_{l-1}, z_l]."""
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    edges = a + (b - a) * np.arange(d + 1) / d
+    half = 0.5 * np.diff(edges)
+    x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * nodes
+    return np.array([half * (trig_fn(i, x, a, b) @ weights) for i in range(1, i_max + 1)])
 
 
 class TestProjection:
@@ -37,8 +40,8 @@ class TestProjection:
         d, i_max = 15, 8
         S_star = rng.normal(size=d)
         exact = project_coefficients(S_star, 0.0, 1.0, i_max=i_max)
-        quad = project_coefficients(S_star, 0.0, 1.0, i_max=i_max, psi_values=trig_psi)
-        np.testing.assert_allclose(exact.coefficients, quad.coefficients, atol=1e-12)
+        quad = quadrature_cell_integrals(i_max, d, 0.0, 1.0) @ S_star
+        np.testing.assert_allclose(exact.coefficients, quad, atol=1e-12)
 
     def test_bessel(self, rng):
         d = 31
@@ -63,18 +66,6 @@ class TestBetaError:
 
     def test_zero_padding(self):
         assert beta_error(np.array([0.5]), np.array([0.5, 0.3])) == pytest.approx(0.09)
-
-
-class TestOrthonormalityCheck:
-    def test_trig_passes(self):
-        assert check_orthonormal(trig_psi, 8, 0.0, 1.0)
-
-    def test_skewed_basis_warns(self):
-        def skewed(i, x):
-            return trig_psi(i, x) * 1.1
-
-        with pytest.warns(UserWarning):
-            assert not check_orthonormal(skewed, 4, 0.0, 1.0)
 
 
 def test_noiseless_series_recovery(ctx_10000):

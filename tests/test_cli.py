@@ -129,6 +129,58 @@ class TestPinsker:
         assert main(["pinsker", "--k", "1"]) == EXIT_VALIDATION
 
 
+class TestOptions:
+    """Each command takes only the options it reads; `all` noise is for risk-table."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["estimate", "--noise", "all"], "--noise"),
+        (["simulate", "--noise", "all"], "--noise"),
+        (["beta", "--noise", "all"], "--noise"),
+        (["pinsker", "--k", "2", "--r", "1", "--seed", "1"], "--seed"),
+        (["pinsker", "--k", "2", "--r", "1", "--noise", "banana"], "--noise"),
+        (["pinsker", "--k", "2", "--r", "1", "--format", "csv"], "--format"),
+        (["simulate", "--format", "json"], "--format"),
+        (["beta", "--format", "csv"], "--format"),
+    ])
+    def test_option_rejected(self, tmp_path, capsys, argv, named):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, cfg, named", [
+        ("simulate", {"format": "json"}, "'format'"),
+        ("pinsker", {"seed": 1}, "'seed'"),
+    ])
+    def test_config_key_rejected(self, tmp_path, capsys, command, cfg, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUnstableSignal:
+    # sup|S| <= 1.697 on [0, 1]: outside the stability set |S| <= 1 - eps
+    SPEC = {"kind": "series", "coefficients": [0.0, 1.2], "stability_eps": 0.1,
+            "lipschitz_L": 100.0}
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--debug-noiseless"],
+        ["beta", "--debug-noiseless"],
+        ["pinsker", "--k", "2", "--r", "1"],
+    ])
+    def test_rejected(self, tmp_path, capsys, argv):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(self.SPEC))
+        out = tmp_path / "out"
+        assert main([*argv, "--signal", f"series:{spec}", "--out", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "stability" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestBeta:
     def test_series_error_reported(self, tmp_path):
         series = tmp_path / "series.json"
@@ -161,6 +213,7 @@ class TestConfigFile:
         ({"debug_noiseless": "yes"}, "'debug_noiseless'"),
         ({"seeds": 3}, "'seeds'"),
         ([1, 2], "JSON object"),
+        ({"noise": "all"}, "--noise"),
     ])
     def test_bad_value_rejected(self, tmp_path, capsys, cfg, named):
         path = tmp_path / "cfg.json"

@@ -12,9 +12,7 @@ from tvarseq.selection import (
     criterion,
     default_delta,
     empirical_error,
-    penalty,
     select,
-    step_function,
     weighted_estimate_values,
 )
 
@@ -67,32 +65,40 @@ class TestPenaltyAndCriterion:
         return FourierCoeffs(theta_hat=np.asarray(theta, float),
                              s_jd=np.asarray(s, float))
 
+    @classmethod
+    def penalty(cls, lam, s, d):
+        """P_d read off the criterion: J(delta1) - J(delta2) = (delta1 - delta2) P_d."""
+        c = cls.coeffs(np.zeros(d), s)
+        return 24.0 * (criterion(lam, c, 1.0 / 12, 0.0, 1.0, d)
+                       - criterion(lam, c, 1.0 / 24, 0.0, 1.0, d))
+
     def test_penalty_zero(self):
-        assert penalty(np.zeros(15), np.full(15, 0.3), 0.0, 1.0, 15) == 0.0
+        assert self.penalty(np.zeros(15), np.full(15, 0.3), 15) == 0.0
 
     def test_penalty_all_ones(self):
         v = 0.02
-        assert penalty(np.ones(15), np.full(15, v), 0.0, 1.0, 15) == pytest.approx(v, abs=1e-14)
+        assert self.penalty(np.ones(15), np.full(15, v), 15) == pytest.approx(v, abs=1e-14)
 
     def test_penalty_single_entry(self):
         lam = np.zeros(15)
         lam[0] = 1.0
         s = np.zeros(15)
         s[0] = 0.01
-        assert penalty(lam, s, 0.0, 1.0, 15) == pytest.approx(0.01 / 15, abs=1e-10)
+        assert self.penalty(lam, s, 15) == pytest.approx(0.01 / 15, abs=1e-10)
 
     def test_criterion_zero_lambda(self):
         c = self.coeffs(np.ones(5), np.ones(5))
         assert criterion(np.zeros(5), c, 0.05, 0.0, 1.0, 5) == 0.0
 
     def test_criterion_zero_theta_nonnegative(self, rng):
-        # with theta_hat = 0 the criterion is 2 sum lam s (b-a)/d + delta P >= 0
+        # with theta_hat = 0 the criterion is 2 sum lam s (b-a)/d + delta P >= 0,
+        # P = (b-a)/d sum lam^2 s
         s = rng.uniform(0.01, 0.1, 9)
         c = self.coeffs(np.zeros(9), s)
         for _ in range(20):
             lam = rng.uniform(0.0, 1.0, 9)
             J = criterion(lam, c, 0.05, 0.0, 1.0, 9)
-            expected = 2.0 / 9 * float(lam @ s) + 0.05 * penalty(lam, s, 0.0, 1.0, 9)
+            expected = 2.0 / 9 * float(lam @ s) + 0.05 / 9 * float(lam ** 2 @ s)
             assert J == pytest.approx(expected, abs=1e-12)
             assert J >= 0.0
 
@@ -182,17 +188,6 @@ class TestEmpiricalError:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             empirical_error(np.zeros(4), np.zeros(5), 0.0, 1.0, 5)
-
-
-class TestStepFunction:
-    def test_piecewise_constant_extension(self):
-        z = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
-        vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        f = step_function(z, vals, 0.0)
-        assert f(0.1) == 1.0
-        assert f(0.2) == 1.0   # right-closed cells
-        assert f(0.2 + 1e-12) == 2.0
-        assert f(1.0) == 5.0
 
 
 def test_shared_definitions():

@@ -1,5 +1,6 @@
 """Signal evaluation, noise families, and trajectory generation."""
 
+import json
 import math
 import os
 import subprocess
@@ -89,6 +90,22 @@ class TestNoise:
     def test_noise_roundtrip(self):
         noise = NoiseSpec("bounded_symmetric", radius=2.0)
         assert NoiseSpec.from_dict(noise.to_dict()) == noise
+
+
+@pytest.mark.parametrize("spec", [
+    tv.signal_s1(),
+    tv.signal_s2(),
+    SignalSpec(kind="series", a=-1.0, b=2.5, coefficients=(0.1, 0.2, -0.05)),
+    SignalSpec(kind="tabulated", values=(0.1, -0.3, 0.2), stability_eps=0.25),
+    NoiseSpec("gaussian_std"),
+    NoiseSpec("uniform_unit_variance"),
+    NoiseSpec("bounded_symmetric"),
+    NoiseSpec("bounded_symmetric", radius=2.0, varsigma=7.5),
+    NoiseSpec("none"),
+], ids=lambda spec: getattr(spec, "kind", None) or spec.family)
+def test_spec_json_roundtrip(spec):
+    # defaults such as varsigma and radius survive the trip through JSON text
+    assert type(spec).from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
 class TestTrajectory:
