@@ -16,12 +16,12 @@ n = 2000
 spec = tv.signal_s1()                 # S(x) = 0.5 cos(2 pi x)
 noise = tv.NoiseSpec("gaussian_std")
 
-ctx = make_context(n)
+ctx = make_context(spec, n)           # fixed inputs: grid, windows, weights, S(x_j)
 print(f"n = {n}: grid of d = {ctx.part.d} points, "
       f"windows of ~{int(ctx.part.k2[0] - ctx.part.k1[0]) + 1} observations each, "
       f"penalty delta = {ctx.delta:.4f}")
 
-res = estimate_signal(spec, noise, n, seed=7, ctx=ctx)
+res = estimate_signal(ctx, noise, seed=7)
 
 # how often did the stopping rule terminate before the window boundary?
 early = sum(p.gamma for p in res.reg.points)

@@ -17,8 +17,8 @@ spec = tv.SignalSpec(kind="series", coefficients=beta_true,
                      stability_eps=0.3, lipschitz_L=10.0)
 
 n = 10000
-ctx = make_context(n)
-res = estimate_signal(spec, tv.NoiseSpec("gaussian_std"), n, seed=12345, ctx=ctx)
+ctx = make_context(spec, n)
+res = estimate_signal(ctx, tv.NoiseSpec("gaussian_std"), seed=12345)
 
 est = project_coefficients(res.selection.S_star, 0.0, 1.0, i_max=10)
 print("  i   beta_i   beta_hat_i")
@@ -28,8 +28,7 @@ for i, v in est.rows():
 
 print(f"\nsquared coefficient error: {beta_error(est, beta_true):.6f}")
 
-noiseless = estimate_signal(spec, tv.NoiseSpec("none"), n, 0, ctx=ctx,
-                            debug_noiseless=True)
+noiseless = estimate_signal(ctx, tv.NoiseSpec("none"), 0, debug_noiseless=True)
 est0 = project_coefficients(noiseless.selection.S_star, 0.0, 1.0, i_max=10)
 print(f"noiseless-pipeline error (pure discretization bias): "
       f"{beta_error(est0, beta_true):.2e}")

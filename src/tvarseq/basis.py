@@ -1,4 +1,4 @@
-"""Trigonometric basis on [a, b] and the discrete inner product on the z grid.
+"""Trigonometric basis on [a, b], its values on the z grid, and Fourier coefficients.
 
 The basis is phi_1 = 1/sqrt(b-a) and, for j >= 2,
 phi_j(x) = sqrt(2/(b-a)) * Trg_j(2*pi*[j/2]*(x-a)/(b-a)) with Trg_j = cos for
@@ -39,19 +39,11 @@ class TrigBasis:
         self.d = int(d)
         offset = (b - a) * np.arange(1, d + 1) / d
         self.z = a + offset
-        # phi[l-1, j-1] = phi_j(z_l); reused across all inner products.  It is
+        # phi[l-1, j-1] = phi_j(z_l); reused by every coefficient estimate.  It is
         # evaluated at z_l - a = offset, since recomputing z_l - a from z_l
         # cancels digits when |a| >> b - a and breaks the exact orthonormality
         self.phi = np.column_stack([trig_fn(j, offset, 0.0, b - a) for j in range(1, d + 1)])
         self.phi.setflags(write=False)
-
-    def inner(self, f_values, g_values):
-        """Discrete inner product (f, g)_d of values on the z grid."""
-        f = np.asarray(f_values, dtype=float)
-        g = np.asarray(g_values, dtype=float)
-        if f.shape != (self.d,) or g.shape != (self.d,):
-            raise ValueError(f"expected vectors of length d={self.d}")
-        return (self.b - self.a) / self.d * float(f @ g)
 
     def gram(self):
         """Gram matrix of the d basis functions under (., .)_d."""

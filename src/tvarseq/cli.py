@@ -74,8 +74,8 @@ def _run_estimate(args):
     spec = resolve_signal(args.signal)
     noise = resolve_noise(args.noise)
     check_delta(args.delta)
-    res = pl.estimate_signal(spec, noise, args.n, args.seed, mu0=args.mu0, delta=args.delta,
-                             debug_noiseless=args.debug_noiseless)
+    ctx = pl.make_context(spec, args.n, args.mu0, args.delta)
+    res = pl.estimate_signal(ctx, noise, args.seed, debug_noiseless=args.debug_noiseless)
     run_cfg = {"command": args.command, "signal": spec.to_dict(),
                "noise": noise.to_dict(), "n": args.n, "seed": args.seed,
                "delta": res.context.delta, "mu0": args.mu0,

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import pipeline as pl
 from .io import write_csv, write_json
-from .signals import generate_trajectory, replication_seed, signal_values_uniform, \
-    validate_stability
+from .signals import generate_trajectory, replication_seed
 from .sequential import build_regression
 
 
@@ -65,18 +64,19 @@ REPORT_COLUMNS = ("signal", "n", "noise", "M", "rbar", "rbar_star",
                   "gamma_frequency", "mean_k", "mean_t", "robust_rbar")
 
 
-def run_cell(spec, noise, n, M, base_seed, mu0=0.5, delta=None, signal_id="",
-             ctx=None):
+def run_cell(spec, noise, n, M, base_seed, mu0=0.5, delta=None, signal_id=""):
     """Monte-Carlo risk for one cell: R_bar, R_bar_star, Gamma frequency."""
+    t0 = time.perf_counter()
+    return _cell(pl.make_context(spec, n, mu0, delta), noise, M, base_seed, signal_id, t0)
+
+
+def _cell(ctx, noise, M, base_seed, signal_id, t0):
+    """The M replications of one cell on its fixed inputs; wall_time counts from t0."""
     if M < 1:
         raise ValueError("need M >= 1")
-    t0 = time.perf_counter()
-    if ctx is None:
-        ctx = pl.make_context(n, spec.a, spec.b, mu0, delta)
-    validate_stability(spec, n)
-    S_design = signal_values_uniform(spec, n)
-    S_grid = pl.signal_values_on_grid(spec, ctx.part)
-    norm_n = float(S_design[1:] @ S_design[1:]) / n
+    n = ctx.part.n
+    S_grid = pl.signal_values_on_grid(ctx.spec, ctx.part)
+    norm_n = float(ctx.S_design[1:] @ ctx.S_design[1:]) / n
 
     sq_err = np.zeros(ctx.part.d)
     mean_est = np.zeros(ctx.part.d)
@@ -84,8 +84,8 @@ def run_cell(spec, noise, n, M, base_seed, mu0=0.5, delta=None, signal_id="",
     k_sum = 0.0
     t_sum = 0.0
     for r in range(1, M + 1):
-        traj = generate_trajectory(spec, noise, n, replication_seed(base_seed, r),
-                                   signal_values=S_design, validate=False)
+        traj = generate_trajectory(ctx.spec, noise, n, replication_seed(base_seed, r),
+                                   signal_values=ctx.S_design)
         res = pl.estimate_from_regression(build_regression(traj, ctx.part), ctx)
         diff = res.selection.S_star - S_grid
         sq_err += diff * diff
@@ -105,15 +105,14 @@ def run_cell(spec, noise, n, M, base_seed, mu0=0.5, delta=None, signal_id="",
 
 def run_table(spec, noise_specs, n_list, M, base_seed, mu0=0.5, delta=None,
               signal_id=""):
-    """One cell per (n, noise family); robust column is the max over families."""
+    """One cell per (n, noise family), one context per n; robust column is the max over families."""
     if not n_list or not noise_specs:
         raise ValueError("need nonempty n_list and noise set")
     cells = []
     for n in n_list:
-        ctx = pl.make_context(n, spec.a, spec.b, mu0, delta)
+        ctx = pl.make_context(spec, n, mu0, delta)
         for noise in noise_specs:
-            cells.append(run_cell(spec, noise, n, M, base_seed, mu0=mu0,
-                                  delta=delta, signal_id=signal_id, ctx=ctx))
+            cells.append(_cell(ctx, noise, M, base_seed, signal_id, time.perf_counter()))
     robust = {}
     for c in cells:
         robust[c.n] = max(robust.get(c.n, 0.0), c.rbar)

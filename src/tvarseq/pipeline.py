@@ -1,31 +1,37 @@
 """End-to-end wiring: trajectory -> regression sample -> coefficients -> selection."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import basis as fb
 from . import selection as sel
 from . import sequential as seq
-from .signals import generate_trajectory, signal_values_uniform, validate_stability
+from .signals import SignalSpec, generate_trajectory, signal_values_uniform, validate_stability
 
 
 @dataclass(frozen=True)
 class PipelineContext:
-    """Everything that depends only on (n, a, b) and is reused across replications."""
+    """A cell's fixed inputs: the signal, S(x_j) for j = 0..n, and what depends only
+    on (n, a, b, mu0, delta).  Only the noise draw changes across replications."""
 
+    spec: SignalSpec
+    S_design: np.ndarray = field(repr=False)
     part: seq.GridPartition
     basis: fb.TrigBasis
     grid: sel.WeightGrid
     delta: float
 
 
-def make_context(n, a=0.0, b=1.0, mu0=0.5, delta=None):
-    part = seq.compute_partition(n, a, b, mu0)
-    if delta is None:
-        delta = sel.default_delta(n)
-    return PipelineContext(part=part,
-                           basis=fb.TrigBasis(a, b, part.d),
-                           grid=sel.build_weight_grid(n, a, b),
-                           delta=delta)
+def make_context(spec, n, mu0=0.5, delta=None):
+    """Everything a cell reuses; S must pass the stability check."""
+    part = seq.compute_partition(n, spec.a, spec.b, mu0)
+    basis = fb.TrigBasis(spec.a, spec.b, part.d)
+    grid = sel.build_weight_grid(n, spec.a, spec.b)
+    validate_stability(spec, n)
+    return PipelineContext(spec=spec, S_design=signal_values_uniform(spec, n), part=part,
+                           basis=basis, grid=grid,
+                           delta=sel.default_delta(n) if delta is None else delta)
 
 
 @dataclass(frozen=True)
@@ -44,22 +50,19 @@ def estimate_from_regression(reg, ctx):
     return EstimateResult(context=ctx, reg=reg, coeffs=coeffs, selection=selection)
 
 
-def estimate_signal(spec, noise, n, seed, mu0=0.5, delta=None, ctx=None,
-                    debug_noiseless=False):
+def estimate_signal(ctx, noise, seed, debug_noiseless=False):
     """Run the whole pipeline on one simulated trajectory.
 
     debug_noiseless bypasses simulation and the sequential stage entirely:
     the regression sample is the true S on the z grid with zero variance
     proxies and Gamma = true, which makes every downstream artifact
-    deterministic.  S must pass the stability check on either path.
+    deterministic.
     """
-    if ctx is None:
-        ctx = make_context(n, spec.a, spec.b, mu0, delta)
-    validate_stability(spec, n)
     if debug_noiseless:
-        reg = seq.noiseless_regression(ctx.part, signal_values_on_grid(spec, ctx.part))
+        reg = seq.noiseless_regression(ctx.part, signal_values_on_grid(ctx.spec, ctx.part))
     else:
-        traj = generate_trajectory(spec, noise, n, seed, validate=False)
+        traj = generate_trajectory(ctx.spec, noise, ctx.part.n, seed,
+                                   signal_values=ctx.S_design)
         reg = seq.build_regression(traj, ctx.part)
     return estimate_from_regression(reg, ctx)
 

@@ -27,7 +27,6 @@ def default_delta(n):
 class WeightGrid:
     """Shrinkage profiles lambda_alpha for alpha on {1..k_star} x {eps..m*eps}."""
 
-    n: int
     a: float
     b: float
     d: int
@@ -76,7 +75,7 @@ def build_weight_grid(n, a=0.0, b=1.0):
 
     alphas = tuple((int(ki), eps * ti) for ki in range(1, k_star + 1)
                    for ti in range(1, m + 1))
-    return WeightGrid(n=n, a=a, b=b, d=d, k_star=k_star, m=m, eps=eps,
+    return WeightGrid(a=a, b=b, d=d, k_star=k_star, m=m, eps=eps,
                       alphas=alphas, lam=lam.reshape(k_star * m, d),
                       j_star=j_star.reshape(-1), omega=omega.reshape(-1))
 

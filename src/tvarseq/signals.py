@@ -250,14 +250,15 @@ class Trajectory:
     n: int
     a: float
     b: float
-    x: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
-    seed: int
+
+    @property
+    def x(self):
+        return self.a + (self.b - self.a) * np.arange(self.n + 1) / self.n
 
     def rows(self):
         """(j, x_j, y_j) triples for CSV export."""
-        for j in range(self.n + 1):
-            yield j, self.x[j], self.y[j]
+        return zip(range(self.n + 1), self.x, self.y)
 
 
 def replication_seed(base_seed, r):
@@ -265,17 +266,17 @@ def replication_seed(base_seed, r):
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(r,))
 
 
-def generate_trajectory(spec, noise, n, seed, signal_values=None, validate=True):
+def generate_trajectory(spec, noise, n, seed, signal_values=None):
     """Simulate y_j = S(x_j) y_{j-1} + xi_j for j = 1..n from y_0 = 0.
 
-    signal_values may carry precomputed S(x_j) for j = 0..n (the j = 0 entry is
-    unused); passing it skips re-evaluating S across replications.
+    signal_values may carry S(x_j) for j = 0..n (the j = 0 entry is unused),
+    as a context holds them; without it S is checked for stability and
+    evaluated here.
     """
     if n < 10:
         raise ValidationError(f"need n >= 10, got {n}")
-    if validate:
-        validate_stability(spec, n)
     if signal_values is None:
+        validate_stability(spec, n)
         signal_values = signal_values_uniform(spec, n)
     s = np.asarray(signal_values, dtype=float)
     if s.shape != (n + 1,):
@@ -288,7 +289,4 @@ def generate_trajectory(spec, noise, n, seed, signal_values=None, validate=True)
     for j in range(1, n + 1):
         yy = s_list[j] * yy + xi_list[j - 1]
         out[j] = yy
-    y = np.asarray(out)
-    x = spec.a + (spec.b - spec.a) * np.arange(n + 1) / n
-    seed_repr = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
-    return Trajectory(n=n, a=spec.a, b=spec.b, x=x, y=y, seed=seed_repr)
+    return Trajectory(n=n, a=spec.a, b=spec.b, y=np.asarray(out))

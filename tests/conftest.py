@@ -40,18 +40,18 @@ def uniform_noise():
 
 
 @pytest.fixture(scope="session")
-def ctx_200():
-    return make_context(200)
+def ctx_200(s1):
+    return make_context(s1, 200)
 
 
 @pytest.fixture(scope="session")
-def ctx_1000():
-    return make_context(1000)
+def ctx_1000(s1):
+    return make_context(s1, 1000)
 
 
 @pytest.fixture(scope="session")
-def ctx_10000():
-    return make_context(10000)
+def ctx_10000(s1):
+    return make_context(s1, 10000)
 
 
 @pytest.fixture(scope="session")

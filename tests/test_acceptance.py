@@ -71,15 +71,14 @@ def s2_table(s2, gaussian):
 @pytest.fixture(scope="module")
 def oracle_runs(s1, gaussian):
     """200 replications at n=1000: selected risk and per-grid minimum risk."""
-    ctx = make_context(1000)
-    S_design = signal_values_uniform(s1, 1000)
+    ctx = make_context(s1, 1000)
     S_grid = signal_values_on_grid(s1, ctx.part)
     theta_d = (1.0 / ctx.part.d) * (ctx.basis.phi.T @ S_grid)
     sel_er = []
     min_er = []
     for r in range(1, 201):
         traj = generate_trajectory(s1, gaussian, 1000, replication_seed(BASE_SEED, r),
-                                   signal_values=S_design, validate=False)
+                                   signal_values=ctx.S_design)
         reg = build_regression(traj, ctx.part)
         res = estimate_from_regression(reg, ctx)
         th = res.coeffs.theta_hat
@@ -103,7 +102,7 @@ def gamma_runs(s1, gaussian):
         rates, flags = [], []
         for r in range(1, reps + 1):
             traj = generate_trajectory(s1, gaussian, n, replication_seed(BASE_SEED, r),
-                                       signal_values=S_design, validate=False)
+                                       signal_values=S_design)
             reg = build_regression(traj, part)
             rates.append(np.mean([p.gamma for p in reg.points]))
             flags.append(reg.gamma_all)
@@ -155,8 +154,7 @@ def test_criterion_04_structural_identities(s1, gaussian):
     part = compute_partition(1000)
     worst_stop = 0.0
     for r in range(1, 26):
-        traj = generate_trajectory(s1, gaussian, 1000, replication_seed(BASE_SEED, r),
-                                   validate=False)
+        traj = generate_trajectory(s1, gaussian, 1000, replication_seed(BASE_SEED, r))
         for l, p in enumerate(build_regression(traj, part).points, start=1):
             iota, k2 = int(part.iota[l - 1]), int(part.k2[l - 1])
             u = np.concatenate([traj.y[iota:k2 - 1] ** 2, [p.H]])
@@ -165,7 +163,7 @@ def test_criterion_04_structural_identities(s1, gaussian):
             ok = ok and 0.0 < p.kappa <= 1.0 and iota < p.tau <= k2
     ok = ok and worst_stop < 1e-9
 
-    grid = make_context(1000).grid
+    grid = make_context(s1, 1000).grid
     lam_ok = bool(np.all(grid.lam >= 0.0) and np.all(grid.lam <= 1.0)
                   and np.all(np.diff(grid.lam, axis=1) <= 1e-14))
     ok = ok and lam_ok
@@ -175,11 +173,11 @@ def test_criterion_04_structural_identities(s1, gaussian):
 
 
 def test_criterion_05_parseval_reconstruction(s1, gaussian):
-    ctx = make_context(200)
+    ctx = make_context(s1, 200)
     worst_p = worst_r = 0.0
     for r in range(1, 101):
         traj = generate_trajectory(s1, gaussian, 200, replication_seed(BASE_SEED, r),
-                                   validate=False)
+                                   signal_values=ctx.S_design)
         reg = build_regression(traj, ctx.part)
         c = fourier_coefficients(ctx.basis, reg.Y, reg.sigma2)
         norm_d = float(reg.Y @ reg.Y) / ctx.part.d
@@ -250,18 +248,16 @@ def test_criterion_09_beta_recovery(gaussian):
     beta_true = (0.0, 0.3, 0.0, 0.0, 0.1)
     spec = SignalSpec(kind="series", coefficients=beta_true,
                       stability_eps=0.3, lipschitz_L=10.0)
-    ctx = make_context(10000)
+    ctx = make_context(spec, 10000)
     d = ctx.part.d
 
-    res0 = estimate_signal(spec, NoiseSpec("none"), 10000, 0, ctx=ctx,
-                           debug_noiseless=True)
+    res0 = estimate_signal(ctx, NoiseSpec("none"), 0, debug_noiseless=True)
     est0 = project_coefficients(res0.selection.S_star, 0.0, 1.0, i_max=d)
     e2 = abs(est0.coefficients[1] - 0.3)
     e5 = abs(est0.coefficients[4] - 0.1)
     ok_noiseless = e2 < 2.0 / d and e5 < 2.0 / d
 
-    res = estimate_signal(spec, gaussian, 10000, replication_seed(BASE_SEED, 1),
-                          ctx=ctx)
+    res = estimate_signal(ctx, gaussian, replication_seed(BASE_SEED, 1))
     i_max = 4000
     est = project_coefficients(res.selection.S_star, 0.0, 1.0, i_max=i_max)
     bhat = est.coefficients

@@ -68,17 +68,17 @@ class TestBetaError:
         assert beta_error(np.array([0.5]), np.array([0.5, 0.3])) == pytest.approx(0.09)
 
 
-def test_noiseless_series_recovery(ctx_10000):
+def test_noiseless_series_recovery():
     # true S = 0.3 psi_2 + 0.1 psi_5; the noiseless pipeline projects back to
     # the series coefficients up to the step-function discretization error
-    from tvarseq.pipeline import estimate_signal
+    from tvarseq.pipeline import estimate_signal, make_context
     from tvarseq.signals import NoiseSpec, SignalSpec
 
     spec = SignalSpec(kind="series", coefficients=(0.0, 0.3, 0.0, 0.0, 0.1),
                       stability_eps=0.3, lipschitz_L=10.0)
-    res = estimate_signal(spec, NoiseSpec("none"), 10000, 0, ctx=ctx_10000,
-                          debug_noiseless=True)
-    d = ctx_10000.part.d
+    ctx = make_context(spec, 10000)
+    res = estimate_signal(ctx, NoiseSpec("none"), 0, debug_noiseless=True)
+    d = ctx.part.d
     est = project_coefficients(res.selection.S_star, 0.0, 1.0, i_max=d)
     assert abs(est.coefficients[1] - 0.3) < 2.0 / d
     assert abs(est.coefficients[4] - 0.1) < 2.0 / d

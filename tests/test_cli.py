@@ -1,11 +1,15 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tvarseq.cli import EXIT_OK, EXIT_VALIDATION, main
+from tvarseq.cli import COMMANDS, EXIT_OK, EXIT_VALIDATION, main, parse_args
 
 
 def run(tmp_path, *argv):
@@ -234,3 +238,49 @@ class TestConfigFile:
         for name in ("seq_points.csv", "selection.json"):
             assert ((tmp_path / "config" / name).read_bytes()
                     == (tmp_path / "flags" / name).read_bytes())
+
+
+NUMERIC_KEYS = {"n", "seed", "delta", "mu0", "M", "k", "r", "i_max"}
+SWITCH_KEYS = {"debug_noiseless"}
+# no digits, and none of the letters of "nan", "inf" or an exponent
+NOT_A_NUMBER = st.text(alphabet="abcdghjklmopqrsuvwxyz ,;:!?-_", max_size=8)
+
+
+@st.composite
+def malformed_configs(draw):
+    """A command and a config entry that parse_args rejects before the command runs."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    options = sorted(set(vars(parse_args([command]))) - {"command", "config"})
+    kind = draw(st.sampled_from(("container", "boolean", "text", "unknown")))
+    if kind == "container":
+        key = draw(st.sampled_from(options))
+        value = draw(st.one_of(st.none(), st.lists(st.integers() | st.text(max_size=3), max_size=3),
+                               st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)))
+    elif kind == "boolean":
+        key, value = draw(st.sampled_from([o for o in options if o not in SWITCH_KEYS])), \
+            draw(st.booleans())
+    elif kind == "text":
+        key, value = draw(st.sampled_from([o for o in options if o in NUMERIC_KEYS])), \
+            draw(NOT_A_NUMBER)
+    else:
+        key = draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+                   .filter(lambda k: k not in options))
+        value = draw(st.integers() | st.text(max_size=3))
+    return command, {key: value}
+
+
+@settings(deadline=None, max_examples=80, derandomize=True, database=None)
+@given(malformed_configs())
+def test_malformed_config_exits_2(case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", path, "--out", out])
+        assert code == EXIT_VALIDATION, (command, cfg)
+        assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()
+        assert not os.path.exists(out)

@@ -6,8 +6,11 @@ import os
 import numpy as np
 import pytest
 
+import tvarseq.pipeline as pl
+from tvarseq import harness, signals
 from tvarseq.harness import REPORT_COLUMNS, export_report, run_cell, run_table
 from tvarseq.io import config_hash
+from tvarseq.signals import SignalSpec
 
 
 class TestRunCell:
@@ -62,6 +65,40 @@ class TestRunTable:
             run_table(s1, [gaussian], [], M=2, base_seed=1)
         with pytest.raises(ValueError):
             run_table(s1, [], [200], M=2, base_seed=1)
+
+
+class TestContext:
+    """A cell's fixed inputs come from one context, built once per (signal, n)."""
+
+    # S = 0.3 psi_2 + 0.1 psi_5 on [1, 3], off the default interval
+    SERIES = SignalSpec(kind="series", a=1.0, b=3.0, coefficients=(0.0, 0.3, 0.0, 0.0, 0.1),
+                        stability_eps=0.3, lipschitz_L=10.0)
+
+    def test_one_stability_check_per_n(self, s1, gaussian, uniform_noise, monkeypatch):
+        seen = []
+        check = pl.validate_stability
+
+        def spy(spec, n):
+            seen.append(n)
+            return check(spec, n)
+
+        for module in (signals, pl, harness):  # every binding a cell could call
+            if hasattr(module, "validate_stability"):
+                monkeypatch.setattr(module, "validate_stability", spy)
+        run_table(s1, [gaussian, uniform_noise], [200, 500], M=1, base_seed=1)
+        assert seen == [200, 500]
+
+    def test_estimate_on_the_spec_interval(self, gaussian):
+        res = pl.estimate_signal(pl.make_context(self.SERIES, 500), gaussian, seed=3)
+        z = res.context.part.z
+        assert np.all((z > 1.0) & (z <= 3.0)) and z[-1] == 3.0
+        assert res.context.basis.a == res.context.grid.a == 1.0
+
+    def test_cell_on_the_spec_interval(self, gaussian):
+        c = run_cell(self.SERIES, gaussian, 500, 2, base_seed=3)
+        part = pl.make_context(self.SERIES, 500).part
+        assert np.all((c.z > 1.0) & (c.z <= 3.0)) and c.z[-1] == 3.0
+        np.testing.assert_array_equal(c.S_grid, pl.signal_values_on_grid(self.SERIES, part))
 
 
 class TestExport:

@@ -159,8 +159,8 @@ class TestPipelineInvariants:
         part = ctx_1000.part
         out = []
         for r in range(1, 21):
-            traj = generate_trajectory(s1, gaussian, part.n,
-                                       replication_seed(11, r), validate=False)
+            traj = generate_trajectory(s1, gaussian, part.n, replication_seed(11, r),
+                                       signal_values=ctx_1000.S_design)
             out.append((traj, build_regression(traj, part).points))
         return part, out
 
@@ -211,7 +211,7 @@ class TestPipelineInvariants:
 class TestBuildRegression:
     def test_gating_modes(self, s1, gaussian, ctx_1000):
         traj = generate_trajectory(s1, gaussian, 1000, replication_seed(3, 1),
-                                   validate=False)
+                                   signal_values=ctx_1000.S_design)
         reg = build_regression(traj, ctx_1000.part)
         assert reg.gamma_all == all(p.gamma for p in reg.points)
         # the per-point estimates are kept, already zeroed where the stopping
@@ -227,8 +227,7 @@ class TestBuildRegression:
         part = ctx_1000.part
         vals = []
         for r in range(1, 41):
-            traj = generate_trajectory(zero, gaussian, 1000, replication_seed(17, r),
-                                       validate=False)
+            traj = generate_trajectory(zero, gaussian, 1000, replication_seed(17, r))
             reg = build_regression(traj, part)
             vals.extend(reg.Y)
         vals = np.asarray(vals)
@@ -245,12 +244,11 @@ class TestBuildRegression:
 def test_preliminary_concentration(s1, gaussian, ctx_10000):
     from tvarseq.signals import signal_values_uniform
     part = ctx_10000.part
-    S_design = signal_values_uniform(s1, part.n)
     S_grid = signal_values_uniform(s1, part.d)[1:]
     bad = total = 0
     for r in range(1, 31):
         traj = generate_trajectory(s1, gaussian, part.n, replication_seed(9, r),
-                                   signal_values=S_design, validate=False)
+                                   signal_values=ctx_10000.S_design)
         bad += np.sum(np.abs(build_regression(traj, part).points.s_pre - S_grid) > 0.2)
         total += part.d
     assert bad / total < 0.05
