@@ -34,7 +34,8 @@ class WeightGrid:
     m: int
     eps: float
     alphas: tuple                      # (k, t) pairs, k outer / t inner
-    lam: np.ndarray = field(repr=False)      # shape (nu, d)
+    lam: np.ndarray = field(repr=False)      # shape (nu, W): columns j = 1..W
+    lam_sq: np.ndarray = field(repr=False)   # lam * lam
     j_star: np.ndarray = field(repr=False)   # per alpha, real-valued
     omega: np.ndarray = field(repr=False)    # per alpha, real-valued
 
@@ -44,12 +45,13 @@ class WeightGrid:
 
 
 def build_weight_grid(n, a=0.0, b=1.0):
-    """Construct the adaptation grid and all weight vectors, truncated to 1..d.
+    """Construct the adaptation grid and its weight vectors on their nonzero band.
 
     The simulation instantiation: d = grid_size(n), k_star = 150 + [sqrt(ln n)],
     m = [ln^2 n], eps = 1/ln n.  For alpha = (k, t) the profile is flat below
     j_star, decays as 1 - (j/omega_alpha)^k up to omega_alpha, and is zero
-    beyond.
+    beyond.  Every profile is zero for j >= omega_alpha, so lam holds only the
+    columns j = 1..W, W = min(d, [max omega]); the weights for j > W are 0.
     """
     if n < 100:
         raise ConfigurationError(f"need n >= 100, got {n}")
@@ -67,16 +69,20 @@ def build_weight_grid(n, a=0.0, b=1.0):
     omega_star = j_star + ln_n
     omega = omega_star + (b - a) ** (2 * k / (2 * k + 1)) * core
 
-    j = np.arange(1, d + 1, dtype=float)[None, None, :]      # (1, 1, d)
-    kk = k[:, :, None]
-    om = omega[:, :, None]
-    js = j_star[:, :, None]
-    lam = np.where(j < js, 1.0, np.maximum(1.0 - (j / om) ** kk, 0.0))
+    width = min(d, int(omega.max()))
+    j = np.arange(1, width + 1, dtype=float)                 # (W,)
+    lam = np.empty((k_star, m, width))
+    np.divide(j, omega[:, :, None], out=lam)
+    np.power(lam, k[:, :, None], out=lam)
+    np.subtract(1.0, lam, out=lam)
+    np.maximum(lam, 0.0, out=lam)
+    np.copyto(lam, 1.0, where=j < j_star[:, :, None])
+    lam = lam.reshape(k_star * m, width)
 
     alphas = tuple((int(ki), eps * ti) for ki in range(1, k_star + 1)
                    for ti in range(1, m + 1))
-    return WeightGrid(a=a, b=b, d=d, k_star=k_star, m=m, eps=eps,
-                      alphas=alphas, lam=lam.reshape(k_star * m, d),
+    return WeightGrid(a=a, b=b, d=d, k_star=k_star, m=m, eps=eps, alphas=alphas,
+                      lam=lam, lam_sq=lam * lam,
                       j_star=j_star.reshape(-1), omega=omega.reshape(-1))
 
 
@@ -86,20 +92,21 @@ def check_delta(delta):
         raise ConfigurationError(f"delta must lie in (0, 1/12], got {delta}")
 
 
-def criterion(lam, coeffs, delta, a, b, d):
-    """Penalized selection criterion J_d(lambda).
+def criterion(lam, lam_sq, coeffs, delta, a, b, d):
+    """Penalized selection criterion J_d(lambda), given lambda and lambda^2.
 
     J_d = sum lambda^2 theta_hat^2 - 2 sum lambda theta~ + delta * P_d, where
     theta~_j = theta_hat_j^2 - ((b-a)/d) s_{j,d} debiases the squared
     coefficient and P_d = ((b-a)/d) sum lambda^2 s_{j,d} is the penalty; the
-    two lambda^2 sums share one product.  Accepts a single weight vector or a
-    stack of them.
+    two lambda^2 sums share one product.  lam may hold only the first W <= d
+    weights (the rest being 0): the sums then run over j = 1..W.  Accepts a
+    single weight vector or a stack of them.
     """
     check_delta(delta)
-    lam = np.asarray(lam, dtype=float)
-    th2 = coeffs.theta_hat ** 2
-    ws = (b - a) / d * coeffs.s_jd
-    return (lam * lam) @ (th2 + delta * ws) - 2.0 * (lam @ (th2 - ws))
+    width = np.shape(lam)[-1]
+    th2 = coeffs.theta_hat[:width] ** 2
+    ws = (b - a) / d * coeffs.s_jd[:width]
+    return lam_sq @ (th2 + delta * ws) - 2.0 * (lam @ (th2 - ws))
 
 
 @dataclass(frozen=True)
@@ -116,13 +123,15 @@ class SelectionResult:
 def select(coeffs, grid, delta, basis):
     """argmin_alpha J_d(lambda_alpha); ties go to the smallest (k, t).
 
-    S_star holds the selected estimate's values at the z grid.
+    lambda_hat is the selected profile on all of 1..d; S_star holds the
+    selected estimate's values at the z grid.
     """
     if grid.nu == 0:
         raise ConfigurationError("empty weight grid")
-    J = criterion(grid.lam, coeffs, delta, grid.a, grid.b, grid.d)
+    J = criterion(grid.lam, grid.lam_sq, coeffs, delta, grid.a, grid.b, grid.d)
     idx = int(np.argmin(J))  # first minimum = lexicographically smallest alpha
-    lam_hat = grid.lam[idx]
+    lam_hat = np.zeros(grid.d)
+    lam_hat[:grid.lam.shape[1]] = grid.lam[idx]
     return SelectionResult(alpha_hat=grid.alphas[idx], alpha_index=idx,
                            lambda_hat=lam_hat, J_values=J,
                            S_star=weighted_estimate_values(lam_hat, coeffs, basis))

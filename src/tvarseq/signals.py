@@ -281,12 +281,33 @@ def generate_trajectory(spec, noise, n, seed, signal_values=None):
     s = np.asarray(signal_values, dtype=float)
     if s.shape != (n + 1,):
         raise ValidationError(f"signal_values must have length n+1={n + 1}")
-    rng = np.random.default_rng(seed)
-    xi = noise.draw(rng, n)
-    s_list, xi_list = s.tolist(), xi.tolist()
-    out = [0.0] * (n + 1)
-    yy = 0.0
-    for j in range(1, n + 1):
-        yy = s_list[j] * yy + xi_list[j - 1]
-        out[j] = yy
-    return Trajectory(n=n, a=spec.a, b=spec.b, y=np.asarray(out))
+    xi = noise.draw(np.random.default_rng(seed), n)
+    return Trajectory(n=n, a=spec.a, b=spec.b, y=np.append(0.0, _linear_scan(s[1:], xi)))
+
+
+def _linear_scan(s, xi):
+    """y_j = s_j y_{j-1} + xi_j from y_0 = 0, as a two-level scan (Blelloch 1990).
+
+    The steps are cut into blocks of w = [sqrt(n)].  The recurrence runs from 0
+    in every block at once, one column at a time, giving z; a scalar loop over
+    the blocks carries the value c_b that each block starts from; then
+    y = z + c_b * (running product of s within the block).  The first block is
+    the plain recurrence; later ones differ from it by rounding only.
+    """
+    n = len(xi)
+    w = math.isqrt(n)
+    blocks = -(-n // w)
+    pad = blocks * w - n
+    # column i of the (w, blocks) arrays holds block i: rows are in-block steps
+    s = np.append(s, np.ones(pad)).reshape(blocks, w).T
+    z = np.ascontiguousarray(np.append(xi, np.zeros(pad)).reshape(blocks, w).T)
+    for r in range(1, w):
+        z[r] += s[r] * z[r - 1]
+    prod = np.cumprod(s, axis=0)
+    carry, c = [], 0.0
+    for z_end, p_end in zip(z[-1].tolist(), prod[-1].tolist()):
+        carry.append(c)
+        c = z_end + c * p_end
+    prod *= carry
+    z += prod
+    return z.T.reshape(-1)[:n]

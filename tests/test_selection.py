@@ -35,7 +35,7 @@ class TestWeightGrid:
         grid = build_weight_grid(1000)
         # lam(j) == 1 exactly on j < j_star (vacuous rows allowed: j_star
         # stays below 1 until n is astronomically large)
-        j = np.arange(1, 32)
+        j = np.arange(1, grid.lam.shape[1] + 1)
         head = j[None, :] < grid.j_star[:, None]
         np.testing.assert_allclose(grid.lam[head], 1.0, atol=1e-14)
         ks = np.array([k for k, _ in grid.alphas])
@@ -45,9 +45,32 @@ class TestWeightGrid:
 
     def test_tail_cutoff(self):
         grid = build_weight_grid(1000)
-        j = np.arange(1, 32)
+        W = grid.lam.shape[1]
+        j = np.arange(1, W + 1)
         beyond = j[None, :] > grid.omega[:, None]
         assert np.all(grid.lam[beyond] == 0.0)
+        # the columns W+1..d left out of the band lie beyond every omega
+        assert W <= grid.d and np.all(grid.omega < W + 1)
+
+    @pytest.mark.parametrize("n", [200, 10000, 70000])
+    def test_band_matches_dense_closed_form(self, n, rng):
+        grid = build_weight_grid(n)
+        W = grid.lam.shape[1]
+        j = np.arange(1, grid.d + 1)[None, :]
+        ks = np.array([k for k, _ in grid.alphas], dtype=float)[:, None]
+        dense = np.where(j < grid.j_star[:, None], 1.0,
+                         np.maximum(1.0 - (j / grid.omega[:, None]) ** ks, 0.0))
+        assert W < grid.d
+        assert np.max(np.abs(grid.lam - dense[:, :W])) <= 1e-15
+        assert np.all(dense[:, W:] == 0.0)
+        for _ in range(5):
+            coeffs = FourierCoeffs(theta_hat=rng.normal(size=grid.d) / j[0],
+                                   s_jd=rng.uniform(0.01, 1.0, grid.d))
+            delta = default_delta(n)
+            band = criterion(grid.lam, grid.lam_sq, coeffs, delta, 0.0, 1.0, grid.d)
+            full = criterion(dense, dense * dense, coeffs, delta, 0.0, 1.0, grid.d)
+            np.testing.assert_allclose(band, full, rtol=1e-12, atol=0.0)
+            assert np.argmin(band) == np.argmin(full)
 
     def test_declared_alphas(self):
         grid = build_weight_grid(200)
@@ -69,8 +92,8 @@ class TestPenaltyAndCriterion:
     def penalty(cls, lam, s, d):
         """P_d read off the criterion: J(delta1) - J(delta2) = (delta1 - delta2) P_d."""
         c = cls.coeffs(np.zeros(d), s)
-        return 24.0 * (criterion(lam, c, 1.0 / 12, 0.0, 1.0, d)
-                       - criterion(lam, c, 1.0 / 24, 0.0, 1.0, d))
+        return 24.0 * (criterion(lam, lam * lam, c, 1.0 / 12, 0.0, 1.0, d)
+                       - criterion(lam, lam * lam, c, 1.0 / 24, 0.0, 1.0, d))
 
     def test_penalty_zero(self):
         assert self.penalty(np.zeros(15), np.full(15, 0.3), 15) == 0.0
@@ -88,7 +111,7 @@ class TestPenaltyAndCriterion:
 
     def test_criterion_zero_lambda(self):
         c = self.coeffs(np.ones(5), np.ones(5))
-        assert criterion(np.zeros(5), c, 0.05, 0.0, 1.0, 5) == 0.0
+        assert criterion(np.zeros(5), np.zeros(5), c, 0.05, 0.0, 1.0, 5) == 0.0
 
     def test_criterion_zero_theta_nonnegative(self, rng):
         # with theta_hat = 0 the criterion is 2 sum lam s (b-a)/d + delta P >= 0,
@@ -97,7 +120,7 @@ class TestPenaltyAndCriterion:
         c = self.coeffs(np.zeros(9), s)
         for _ in range(20):
             lam = rng.uniform(0.0, 1.0, 9)
-            J = criterion(lam, c, 0.05, 0.0, 1.0, 9)
+            J = criterion(lam, lam * lam, c, 0.05, 0.0, 1.0, 9)
             expected = 2.0 / 9 * float(lam @ s) + 0.05 / 9 * float(lam ** 2 @ s)
             assert J == pytest.approx(expected, abs=1e-12)
             assert J >= 0.0
@@ -105,7 +128,8 @@ class TestPenaltyAndCriterion:
     def test_single_coefficient_minimum(self):
         c = self.coeffs([1.0], [0.0])
         ws = np.linspace(0.0, 1.0, 101)
-        J = np.array([criterion(np.array([w]), c, 0.05, 0.0, 1.0, 1) for w in ws])
+        J = np.array([criterion(np.array([w]), np.array([w * w]), c, 0.05, 0.0, 1.0, 1)
+                      for w in ws])
         assert ws[np.argmin(J)] == pytest.approx(1.0)
         assert J.min() == pytest.approx(-1.0, abs=1e-12)
 
@@ -113,7 +137,7 @@ class TestPenaltyAndCriterion:
         c = self.coeffs(np.ones(3), np.zeros(3))
         for bad in (0.0, -0.1, 0.2, 1.0 / 12 + 1e-9):
             with pytest.raises(ConfigurationError):
-                criterion(np.ones(3), c, bad, 0.0, 1.0, 3)
+                criterion(np.ones(3), np.ones(3), c, bad, 0.0, 1.0, 3)
 
     def test_default_delta(self):
         assert 0.0 < default_delta(10 ** 9) <= default_delta(100) <= 1.0 / 12
@@ -156,8 +180,9 @@ class TestSelect:
         coeffs = fourier_coefficients(basis, S_grid, np.zeros(d))
         grid = ctx_1000.grid
         res = select(coeffs, grid, 1e-6, basis)
+        W = grid.lam.shape[1]  # every weight beyond the band is 0
         errors = np.array([
-            empirical_error(S_grid, basis.phi @ (grid.lam[i] * coeffs.theta_hat),
+            empirical_error(S_grid, basis.phi[:, :W] @ (grid.lam[i] * coeffs.theta_hat[:W]),
                             0.0, 1.0, d)
             for i in range(grid.nu)
         ])

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tvarseq as tv
 from tvarseq.signals import (
@@ -160,6 +161,44 @@ class TestTrajectory:
     def test_stability_validation_passes_corpus(self, s1, s2):
         validate_stability(s1, 1000)
         validate_stability(s2, 1000)
+
+
+PRIMES = (11, 13, 101, 997, 1009, 4001, 4999)
+
+
+@st.composite
+def recurrences(draw):
+    """n, S(x_j) for j = 0..n and a noise family; S has exact zeros and +-(1-eps)."""
+    n = draw(st.one_of(st.integers(10, 5000), st.sampled_from(PRIMES),
+                       st.integers(4, 70).map(lambda k: k * k)))
+    eps = draw(st.sampled_from([1e-12, 1e-6, 1e-3, 0.1, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s = rng.uniform(-(1.0 - eps), 1.0 - eps, n + 1)
+    u = rng.random(n + 1)
+    s[u < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    edge = u > 1.0 - draw(st.sampled_from([0.0, 0.1, 0.9, 1.0]))
+    s[edge] = (1.0 - eps) * rng.choice([-1.0, 1.0], int(edge.sum()))
+    family = draw(st.sampled_from(["gaussian_std", "uniform_unit_variance",
+                                   "bounded_symmetric", "none"]))
+    return n, s, NoiseSpec(family), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(deadline=None, max_examples=60, derandomize=True, database=None)
+@given(recurrences())
+@example((10, np.full(11, 1.0 - 1e-12), NoiseSpec("gaussian_std"), 0))
+@example((4900, np.zeros(4901), NoiseSpec("uniform_unit_variance"), 1))
+def test_scan_matches_scalar_recurrence(case):
+    n, s, noise, seed = case
+    traj = generate_trajectory(ZERO_SIGNAL, noise, n, seed, signal_values=s)
+    xi = noise.draw(np.random.default_rng(seed), n)
+    y = [0.0]
+    for j in range(1, n + 1):
+        y.append(s[j] * y[-1] + xi[j - 1])
+    y = np.asarray(y)
+    assert traj.y.shape == (n + 1,) and traj.y[0] == 0.0
+    assert np.max(np.abs(traj.y - y)) <= 1e-12 * np.max(np.abs(y))
+    if noise.family == "none":
+        assert np.all(traj.y == 0.0)
 
 
 def random_series(rng, a=-1.0, b=2.0, n_freq=40, eps=0.5):
