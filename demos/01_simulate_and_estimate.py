@@ -24,7 +24,7 @@ print(f"n = {n}: grid of d = {ctx.part.d} points, "
 res = estimate_signal(ctx, noise, seed=7)
 
 # how often did the stopping rule terminate before the window boundary?
-early = sum(p.gamma for p in res.reg.points)
+early = int(res.reg.points.gamma.sum())
 print(f"early stopping at {early}/{ctx.part.d} grid points")
 
 k, t = res.selection.alpha_hat

@@ -28,7 +28,7 @@ for i, v in est.rows():
 
 print(f"\nsquared coefficient error: {beta_error(est, beta_true):.6f}")
 
-noiseless = estimate_signal(ctx, tv.NoiseSpec("none"), 0, debug_noiseless=True)
+noiseless = estimate_signal(ctx, tv.NoiseSpec("none"), 0)
 est0 = project_coefficients(noiseless.selection.S_star, 0.0, 1.0, i_max=10)
 print(f"noiseless-pipeline error (pure discretization bias): "
       f"{beta_error(est0, beta_true):.2e}")

@@ -14,7 +14,7 @@ from . import pipeline as pl
 from . import theory
 from .harness import export_report, run_table
 from .io import write_csv, write_json
-from .selection import ConfigurationError, check_delta
+from .selection import check_delta
 from .signals import (NoiseSpec, SignalSpec, ValidationError, generate_trajectory,
                       signal_s1, signal_s2, validate_stability)
 
@@ -75,11 +75,10 @@ def _run_estimate(args):
     noise = resolve_noise(args.noise)
     check_delta(args.delta)
     ctx = pl.make_context(spec, args.n, args.mu0, args.delta)
-    res = pl.estimate_signal(ctx, noise, args.seed, debug_noiseless=args.debug_noiseless)
+    res = pl.estimate_signal(ctx, noise, args.seed)
     run_cfg = {"command": args.command, "signal": spec.to_dict(),
                "noise": noise.to_dict(), "n": args.n, "seed": args.seed,
-               "delta": res.context.delta, "mu0": args.mu0,
-               "debug_noiseless": args.debug_noiseless}
+               "delta": res.context.delta, "mu0": args.mu0}
     return spec, res, run_cfg
 
 
@@ -198,12 +197,11 @@ def build_parser():
 
     add("simulate", help="write one trajectory CSV").add_argument("--n", type=int, default=200)
     for name in ("estimate", "beta"):
-        p = add(name)
-        p.add_argument("--n", type=int, default=500)
-        p.add_argument("--debug-noiseless", action="store_true")
+        add(name).add_argument("--n", type=int, default=500)
     parsers["beta"].add_argument("--i-max", type=int, dest="i_max")
 
-    p = add("risk-table", noises=(*NOISE_NAMES, "all"), help="Monte-Carlo risk tables")
+    # a noise-free risk table is degenerate: every replication is the same
+    p = add("risk-table", noises=("gaussian", "uniform", "all"), help="Monte-Carlo risk tables")
     p.add_argument("--n", type=_int_list, default="200,500", help="comma list of sample sizes")
     p.add_argument("--M", type=int, default=50)
 
@@ -235,16 +233,10 @@ def parse_args(argv):
     for key, val in cfg.items():
         if key in ("command", "config") or key not in vars(args):
             raise ValidationError(f"config key {key!r} is not an option of {args.command}")
-        flag = "--" + key.replace("_", "-")
-        if isinstance(getattr(args, key), bool):  # a switch such as debug_noiseless
-            if not isinstance(val, bool):
-                raise ValidationError(f"config key {key!r} takes true or false, got {val!r}")
-            flags += [flag] if val else []
-        elif isinstance(val, bool) or not isinstance(val, (str, int, float)):
+        if isinstance(val, bool) or not isinstance(val, (str, int, float)):
             raise ValidationError(f"config key {key!r} takes a string or a number, "
                                   f"got {json.dumps(val)}")
-        else:
-            flags.append(f"{flag}={val}")
+        flags.append(f"--{key.replace('_', '-')}={val}")
     argv = sys.argv[1:] if argv is None else list(argv)
     at = argv.index(args.command) + 1
     return parser.parse_args(argv[:at] + flags + argv[at:])
@@ -256,7 +248,7 @@ def main(argv=None):
         return COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse has printed its message
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    except (ValidationError, ConfigurationError, ValueError) as exc:
+    except ValueError as exc:  # ValidationError and ConfigurationError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -50,15 +50,15 @@ def estimate_from_regression(reg, ctx):
     return EstimateResult(context=ctx, reg=reg, coeffs=coeffs, selection=selection)
 
 
-def estimate_signal(ctx, noise, seed, debug_noiseless=False):
+def estimate_signal(ctx, noise, seed):
     """Run the whole pipeline on one simulated trajectory.
 
-    debug_noiseless bypasses simulation and the sequential stage entirely:
-    the regression sample is the true S on the z grid with zero variance
-    proxies and Gamma = true, which makes every downstream artifact
-    deterministic.
+    Noise family "none" is the noise-free limit: a simulated path would be
+    y = 0 throughout, so the sequential stage is skipped and the regression
+    sample is the true S on the z grid with zero variance proxies and
+    Gamma = true.  Every downstream artifact is then independent of seed.
     """
-    if debug_noiseless:
+    if noise.family == "none":
         reg = seq.noiseless_regression(ctx.part, signal_values_on_grid(ctx.spec, ctx.part))
     else:
         traj = generate_trajectory(ctx.spec, noise, ctx.part.n, seed,

@@ -6,10 +6,10 @@ clamped value sets the threshold H_l, and the remaining observations feed a
 stopping rule that accumulates squared regressors until H_l is reached.  The
 resulting ratio estimate has conditional variance exactly 1/H_l.
 
-Each formula takes one window as scalars or all d windows as arrays;
-build_regression applies each once to the whole grid.  A window is gathered
-as a zero-padded row; the padding width comes from the partition, or the row
-is summed by a running sum, so no row depends on the data of another window.
+build_regression gathers each window once, as the row y_{k1-1}, y_{k1}, ...
+of one common width, and each formula reads a fixed column slice of it: one
+row, or the stack of all d rows at once.  A row runs on into the next window
+(the windows are adjacent), but no formula reads past its own window's end.
 """
 
 from dataclasses import dataclass, field
@@ -74,34 +74,19 @@ def compute_partition(n, a=0.0, b=1.0, mu0=0.5):
                          z=z, k1=k1, k2=k2, iota=iota)
 
 
-def _windows(y, start, width, length):
-    """One row per window: y[start + i] for i < length, zero-padded to width."""
-    start = np.asarray(start)
-    if np.max(start) + width > len(y):
-        y = np.concatenate([y, np.zeros(width)])
-    rows = sliding_window_view(y, width)
-    rows = rows[start.reshape(-1)].reshape(start.shape + (width,))
-    rows[np.arange(width) >= np.asarray(length)[..., None]] = 0.0
-    return rows
-
-
 def _at(rows, k):
     """rows[..., k] with one index k per row."""
     return np.take_along_axis(rows, np.asarray(k)[..., None], axis=-1)[..., 0]
 
 
-def preliminary_estimate(y, k1, iota):
+def preliminary_estimate(prev, cur):
     """Ratio estimate sum y_{j-1} y_j / sum y_{j-1}^2 over j = k1..iota.
 
-    k1 and iota may be arrays, one entry per window.  Returns 0 where the
-    denominator vanishes (all-zero window).
+    prev holds y_{k1-1}..y_{iota-1} and cur holds y_{k1}..y_{iota}, as one row
+    or a stack of rows.  Returns 0 where the denominator vanishes (all-zero
+    window).
     """
-    k1, iota = np.asarray(k1), np.asarray(iota)
-    if np.any(k1 > iota):
-        raise ValueError("need k1 <= iota")
-    terms = iota - k1 + 1
-    prev = _windows(y, k1 - 1, int(np.max(terms)), terms)[..., None, :]
-    cur = _windows(y, k1, int(np.max(terms)), terms)[..., :, None]
+    prev, cur = np.asarray(prev)[..., None, :], np.asarray(cur)[..., :, None]
     # stacked vector products run the same dot kernel as prev @ cur
     num = (prev @ cur)[..., 0, 0]
     den = (prev @ np.swapaxes(prev, -1, -2))[..., 0, 0]
@@ -127,41 +112,41 @@ def threshold(s_tilde, k2, iota, n):
     return (1.0 - eps) * span / (1.0 - s_tilde * s_tilde)
 
 
-def run_stopping_rule(y, iota, k2, H):
-    """First time the accumulated u_j = y_{j-1}^2 mass reaches H.
+def run_stopping_rule(x, last, H):
+    """First step at which the accumulated mass of u_i = x_i^2 reaches H.
 
-    The terminal mass u_{k2} is set to H, so the rule always stops by k2.
-    Returns (tau, kappa, gamma) with kappa in (0, 1] the fractional weight on
-    u_tau that makes the accumulated mass hit H exactly, and gamma the
-    indicator of stopping strictly before k2.  iota, k2 and H may be arrays.
+    x holds y_iota, y_{iota+1}, ... as one row or a stack of rows.  The
+    terminal term u_last (u_{k2}) has its mass set to H, so the rule stops by
+    last; entries after last, where the mass is already at least H, never
+    count.  Returns (step, kappa, gamma): the stop is at tau = iota + 1 + step,
+    kappa in (0, 1] weights u_step so that the mass hits H exactly, and gamma
+    marks a stop strictly before last.
     """
-    iota, k2, H = np.asarray(iota), np.asarray(k2), np.asarray(H, dtype=float)
+    x, last, H = np.asarray(x), np.asarray(last), np.asarray(H, dtype=float)
     if np.any(H <= 0):
         raise ValueError("threshold must be positive")
-    last = k2 - iota - 1  # position of the terminal term u_{k2}
-    u = _windows(y, iota, int(np.max(last)) + 1, last)
-    u *= u  # u_j = y_{j-1}^2 for j = iota+1 .. k2-1
+    u = x * x
     np.put_along_axis(u, last[..., None], H[..., None], axis=-1)
     mass = np.cumsum(u, axis=-1, out=u)
-    idx = np.count_nonzero(mass < H[..., None], axis=-1)  # searchsorted: mass is nondecreasing
-    before = np.where(idx > 0, _at(mass, np.maximum(idx - 1, 0)), 0.0)
-    tau = iota + 1 + idx
-    gamma = tau < k2
-    return tau, np.sqrt((H - before) / np.where(gamma, y[tau - 1] ** 2, H)), gamma
+    step = np.count_nonzero(mass < H[..., None], axis=-1)  # searchsorted: mass is nondecreasing
+    before = np.where(step > 0, _at(mass, np.maximum(step - 1, 0)), 0.0)
+    gamma = step < last
+    return step, np.sqrt((H - before) / np.where(gamma, _at(x, step) ** 2, H)), gamma
 
 
-def sequential_estimate(y, iota, H, tau, kappa, gamma):
-    """Truncated ratio estimate (sum y_{j-1} y_j + kappa * y_{tau-1} y_tau) / H.
+def sequential_estimate(x, H, step, kappa, gamma):
+    """Truncated ratio estimate (sum_{i<step} x_i x_{i+1} + kappa x_step x_{step+1}) / H.
 
-    The sum runs over j = iota+1..tau-1; the estimate is 0 where gamma is
-    false.  Every argument but y may be an array.
+    On the row run_stopping_rule took, this is sum y_{j-1} y_j over
+    j = iota+1..tau-1 plus kappa y_{tau-1} y_tau.  The estimate is 0 where
+    gamma is false.  Entries after step + 1 are never read.
     """
-    iota, tau = np.asarray(iota), np.asarray(tau)
-    terms = tau - iota - 1
-    prod = _windows(y[:-1] * y[1:], iota, int(np.max(terms)) + 1, terms)
-    # a running sum, so that no row depends on the padding width
-    head = _at(np.cumsum(prod, axis=-1, out=prod), terms)
-    return np.where(gamma, (head + kappa * y[tau - 1] * y[tau]) / H, 0.0)
+    x = np.asarray(x)
+    prod = x[..., :-1] * x[..., 1:]
+    run = np.cumsum(prod, axis=-1, out=prod)
+    # + 0.0 turns a sum of -0.0 terms into 0.0, as a running sum from 0.0 does
+    head = np.where(step > 0, _at(run, np.maximum(step - 1, 0)) + 0.0, 0.0)
+    return np.where(gamma, (head + kappa * _at(x, step) * _at(x, step + 1)) / H, 0.0)
 
 
 POINT_FIELDS = ("l", "s_pre", "H", "tau", "kappa", "gamma", "s_star", "sigma2")
@@ -211,11 +196,16 @@ def build_regression(traj, part):
     """
     if traj.n != part.n:
         raise ValueError("trajectory and partition disagree on n")
-    s_pre = project_estimate(preliminary_estimate(traj.y, part.k1, part.iota), part.n)
+    # window l is the row y_{k1-1}..; the last window is short, so its row
+    # runs past y_n into the zero padding
+    w, q = int(np.max(part.k2 - part.k1)) + 2, part.q_pre
+    rows = sliding_window_view(np.append(traj.y, np.zeros(w)), w)[part.k1 - 1]
+    s_pre = project_estimate(preliminary_estimate(rows[:, :q + 1], rows[:, 1:q + 2]), part.n)
     H = threshold(s_pre, part.k2, part.iota, part.n)
-    tau, kappa, gamma = run_stopping_rule(traj.y, part.iota, part.k2, H)
-    s_star = sequential_estimate(traj.y, part.iota, H, tau, kappa, gamma)
-    return _sample(part, s_pre, H, tau, kappa, gamma, s_star, 1.0 / H)
+    x = rows[:, q + 1:]  # y_iota, y_{iota+1}, ...
+    step, kappa, gamma = run_stopping_rule(x, part.k2 - part.iota - 1, H)
+    s_star = sequential_estimate(x, H, step, kappa, gamma)
+    return _sample(part, s_pre, H, part.iota + 1 + step, kappa, gamma, s_star, 1.0 / H)
 
 
 def noiseless_regression(part, S_grid):

@@ -180,8 +180,8 @@ def validate_stability(spec, n):
 class NoiseSpec:
     """An i.i.d. noise family: zero mean, unit variance, bounded even moments.
 
-    family "none" injects xi = 0 exactly (debug mode, not a member of the
-    admissible class).  bounded_symmetric draws radius*(2*B - 1) with
+    family "none" injects xi = 0 exactly (the noise-free limit, not a member
+    of the admissible class).  bounded_symmetric draws radius*(2*B - 1) with
     B ~ Beta(s, s) and s = (radius^2-1)/2, which has unit variance; radius
     sqrt(3) recovers the uniform law.
     """

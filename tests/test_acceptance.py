@@ -277,7 +277,7 @@ def test_criterion_09_beta_recovery(gaussian):
     ctx = make_context(spec, 10000)
     d = ctx.part.d
 
-    res0 = estimate_signal(ctx, NoiseSpec("none"), 0, debug_noiseless=True)
+    res0 = estimate_signal(ctx, NoiseSpec("none"), 0)
     est0 = project_coefficients(res0.selection.S_star, 0.0, 1.0, i_max=d)
     e2 = abs(est0.coefficients[1] - 0.3)
     e5 = abs(est0.coefficients[4] - 0.1)

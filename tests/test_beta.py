@@ -77,7 +77,7 @@ def test_noiseless_series_recovery():
     spec = SignalSpec(kind="series", coefficients=(0.0, 0.3, 0.0, 0.0, 0.1),
                       stability_eps=0.3, lipschitz_L=10.0)
     ctx = make_context(spec, 10000)
-    res = estimate_signal(ctx, NoiseSpec("none"), 0, debug_noiseless=True)
+    res = estimate_signal(ctx, NoiseSpec("none"), 0)
     d = ctx.part.d
     est = project_coefficients(res.selection.S_star, 0.0, 1.0, i_max=d)
     assert abs(est.coefficients[1] - 0.3) < 2.0 / d

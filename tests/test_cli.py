@@ -50,17 +50,32 @@ class TestEstimate:
         assert "selected (k, t)" in capsys.readouterr().out
 
     def test_debug_noiseless(self, tmp_path):
-        for sub in ("a", "b"):
+        for sub, seed in (("a", "3"), ("b", "71")):
             (tmp_path / sub).mkdir()
             assert run(tmp_path / sub, "estimate", "--signal", "s1", "--n", "500",
-                       "--seed", str(hash(sub) % 100), "--debug-noiseless") == EXIT_OK
-        # seeds differ yet outputs agree except for the config header line
-        for name in ("s_star.csv", "coefficients.csv"):
+                       "--seed", seed, "--noise", "none") == EXIT_OK
+        # seeds differ yet every artifact agrees but for its config lines
+        for name in ("seq_points.csv", "coefficients.csv", "criterion.csv", "s_star.csv"):
             a = (tmp_path / "a" / name).read_text().splitlines()[1:]
             b = (tmp_path / "b" / name).read_text().splitlines()[1:]
             assert a == b
-        sel = json.loads((tmp_path / "a" / "selection.json").read_text())
-        assert sel["gamma"] is True
+        sel_a, sel_b = (json.loads((tmp_path / sub / "selection.json").read_text())
+                        for sub in ("a", "b"))
+        for sel in (sel_a, sel_b):
+            del sel["config_hash"], sel["config"]
+        assert sel_a == sel_b
+        assert sel_a["gamma"] is True
+
+    def test_noise_none_writes_the_signal(self, tmp_path):
+        from tvarseq.signals import signal_s1, signal_values_uniform
+        assert run(tmp_path, "estimate", "--signal", "s1", "--n", "500",
+                   "--noise", "none") == EXIT_OK
+        lines = (tmp_path / "seq_points.csv").read_text().splitlines()
+        assert lines[1] == "l,z_l,Y_l,sigma2_l,tau_l,gamma_l"
+        rows = [line.split(",") for line in lines[2:]]
+        S = signal_values_uniform(signal_s1(), len(rows))[1:]  # S(z_l) = S(l/d)
+        assert [float(r[2]) for r in rows] == S.tolist()
+        assert all(r[5] == "1" for r in rows)
 
     def test_delta_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "estimate", "--signal", "s1", "--n", "500",
@@ -145,6 +160,7 @@ class TestOptions:
         (["pinsker", "--k", "2", "--r", "1", "--format", "csv"], "--format"),
         (["simulate", "--format", "json"], "--format"),
         (["beta", "--format", "csv"], "--format"),
+        (["risk-table", "--noise", "none"], "--noise"),
     ])
     def test_option_rejected(self, tmp_path, capsys, argv, named):
         assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
@@ -170,8 +186,8 @@ class TestUnstableSignal:
             "lipschitz_L": 100.0}
 
     @pytest.mark.parametrize("argv", [
-        ["estimate", "--debug-noiseless"],
-        ["beta", "--debug-noiseless"],
+        ["estimate", "--noise", "none"],
+        ["beta", "--noise", "none"],
         ["pinsker", "--k", "2", "--r", "1"],
     ])
     def test_rejected(self, tmp_path, capsys, argv):
@@ -193,7 +209,7 @@ class TestBeta:
             "stability_eps": 0.3, "lipschitz_L": 10.0,
         }))
         assert run(tmp_path, "beta", "--signal", f"series:{series}", "--n", "10000",
-                   "--debug-noiseless") == EXIT_OK
+                   "--noise", "none") == EXIT_OK
         payload = json.loads((tmp_path / "beta.json").read_text())
         assert payload["l2_error"] < 1e-3
         rows = (tmp_path / "beta.csv").read_text().splitlines()[2:]
@@ -214,7 +230,7 @@ class TestConfigFile:
         ({"seed": None}, "'seed'"),
         ({"signal": 5}, "signal"),
         ({"delta": "abc"}, "--delta"),
-        ({"debug_noiseless": "yes"}, "'debug_noiseless'"),
+        ({"debug_noiseless": True}, "'debug_noiseless'"),  # a retired switch
         ({"seeds": 3}, "'seeds'"),
         ([1, 2], "JSON object"),
         ({"noise": "all"}, "--noise"),
@@ -227,7 +243,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("cfg, flags", [
         ({"delta": "0.05", "n": "500", "seed": 7}, ["--delta", "0.05", "--n", "500", "--seed", "7"]),
-        ({"debug_noiseless": True, "mu0": 0.4}, ["--debug-noiseless", "--mu0", "0.4"]),
+        ({"noise": "none", "mu0": 0.4}, ["--noise", "none", "--mu0", "0.4"]),
     ])
     def test_values_read_as_their_flag(self, tmp_path, cfg, flags):
         path = tmp_path / "cfg.json"
@@ -241,7 +257,6 @@ class TestConfigFile:
 
 
 NUMERIC_KEYS = {"n", "seed", "delta", "mu0", "M", "k", "r", "i_max"}
-SWITCH_KEYS = {"debug_noiseless"}
 # no digits, and none of the letters of "nan", "inf" or an exponent
 NOT_A_NUMBER = st.text(alphabet="abcdghjklmopqrsuvwxyz ,;:!?-_", max_size=8)
 
@@ -257,8 +272,7 @@ def malformed_configs(draw):
         value = draw(st.one_of(st.none(), st.lists(st.integers() | st.text(max_size=3), max_size=3),
                                st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)))
     elif kind == "boolean":
-        key, value = draw(st.sampled_from([o for o in options if o not in SWITCH_KEYS])), \
-            draw(st.booleans())
+        key, value = draw(st.sampled_from(options)), draw(st.booleans())
     elif kind == "text":
         key, value = draw(st.sampled_from([o for o in options if o in NUMERIC_KEYS])), \
             draw(NOT_A_NUMBER)

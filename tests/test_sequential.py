@@ -64,16 +64,16 @@ class TestPreliminary:
     def test_exact_ratio(self):
         # geometric stream y_j = 0.3 y_{j-1}: the ratio is exactly 0.3
         y = 0.3 ** np.arange(5)
-        assert preliminary_estimate(y, 1, 4) == pytest.approx(0.3, abs=1e-14)
+        assert preliminary_estimate(y[:-1], y[1:]) == pytest.approx(0.3, abs=1e-14)
 
     def test_degenerate_zero(self):
         y = np.zeros(10)
-        assert preliminary_estimate(y, 2, 5) == 0.0
+        assert preliminary_estimate(y[1:5], y[2:6]) == 0.0
 
     def test_hand_ratio(self):
         # window values y = (1, 2, 4) at indices (k1-1, k1, iota = k1+1)
         y = np.array([1.0, 2.0, 4.0])
-        assert preliminary_estimate(y, 1, 2) == pytest.approx(2.0, abs=1e-14)
+        assert preliminary_estimate(y[:2], y[1:]) == pytest.approx(2.0, abs=1e-14)
 
 
 class TestProjection:
@@ -110,46 +110,55 @@ class TestThreshold:
 
 
 class TestStoppingRule:
+    # x = y_iota, y_{iota+1}, ..., last = k2 - iota - 1 and tau = iota + 1 + step
+
     def test_constant_stream(self):
         # u = (4, 4, 4, ...), H = 9 -> stop at the third term, kappa = 0.5
-        y = np.array([0.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
-        tau, kappa, gamma = run_stopping_rule(y, iota=1, k2=6, H=9.0)
-        assert tau == 4
+        x = np.full(6, 2.0)
+        step, kappa, gamma = run_stopping_rule(x, last=4, H=9.0)
+        assert step == 2
         assert kappa == pytest.approx(0.5, abs=1e-14)
         assert gamma
 
     def test_immediate_stop(self):
-        y = np.array([0.0, 4.0, 1.0, 1.0, 1.0])
+        x = np.array([4.0, 1.0, 1.0, 1.0])
         H = 9.0
-        tau, kappa, gamma = run_stopping_rule(y, iota=1, k2=4, H=H)
-        assert tau == 2
+        step, kappa, gamma = run_stopping_rule(x, last=2, H=H)
+        assert step == 0
         assert kappa == pytest.approx(math.sqrt(H / 16.0), abs=1e-14)
         assert gamma
 
     def test_forced_terminal(self):
-        y = np.zeros(10)
-        tau, kappa, gamma = run_stopping_rule(y, iota=2, k2=8, H=5.0)
-        assert tau == 8
+        x = np.zeros(7)
+        step, kappa, gamma = run_stopping_rule(x, last=5, H=5.0)
+        assert step == 5
         assert kappa == 1.0
+        assert not gamma
+
+    def test_entries_after_last_not_counted(self):
+        # 10^2 would cross H, but it lies after last, in the next window
+        x = np.array([0.1, 0.1, 10.0, 10.0])
+        step, kappa, gamma = run_stopping_rule(x, last=1, H=5.0)
+        assert step == 1
         assert not gamma
 
     def test_noiseless_symbolic(self):
         # y_j = c y_{j-1}: S* = c (H - kappa^2 u_tau + kappa u_tau) / H
         c = 0.6
-        y = 2.0 * c ** np.arange(8)
-        H, iota, k2 = 2.0, 1, 7
-        tau, kappa, gamma = run_stopping_rule(y, iota, k2, H)
-        u_tau = y[tau - 1] ** 2
+        x = 2.0 * c ** np.arange(7)
+        H = 2.0
+        step, kappa, gamma = run_stopping_rule(x, last=5, H=H)
+        u_tau = x[step] ** 2
         expected = c * (H - kappa ** 2 * u_tau + kappa * u_tau) / H
-        got = sequential_estimate(y, iota, H, tau, kappa, gamma)
+        got = sequential_estimate(x, H, step, kappa, gamma)
         assert got == pytest.approx(expected, abs=1e-12)
         if kappa == 1.0:
             assert got == pytest.approx(c, abs=1e-12)
 
     def test_gated_zero(self):
-        y = np.zeros(10)
-        tau, kappa, gamma = run_stopping_rule(y, iota=2, k2=8, H=5.0)
-        assert sequential_estimate(y, iota=2, H=5.0, tau=tau, kappa=kappa, gamma=gamma) == 0.0
+        x = np.zeros(7)
+        step, kappa, gamma = run_stopping_rule(x, last=5, H=5.0)
+        assert sequential_estimate(x, H=5.0, step=step, kappa=kappa, gamma=gamma) == 0.0
 
 
 class TestPipelineInvariants:
@@ -197,7 +206,8 @@ class TestPipelineInvariants:
                 assert abs(p.s_pre) <= 1.0 - part.eps_tilde + 1e-12
 
     def test_window_locality(self, samples):
-        # perturbing observations outside [k1-1, k2] leaves the point untouched
+        # perturbing observations outside [k1-1, k2] leaves the point untouched,
+        # although the gathered row runs on into the next window
         part, out = samples
         traj, points = out[0]
         l = part.d // 2

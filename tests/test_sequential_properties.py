@@ -31,13 +31,14 @@ def paths(draw):
 
 
 def one_window(y, part, l):
-    """The record of grid point l (0-based) from the formulas on 0-d inputs."""
-    k1, k2, iota = part.k1[l], part.k2[l], part.iota[l]
-    s_pre = project_estimate(preliminary_estimate(y, k1, iota), part.n)
+    """The record of grid point l (0-based) from the formulas on its window's row alone."""
+    k1, k2, iota, q = part.k1[l], part.k2[l], part.iota[l], part.q_pre
+    row = y[k1 - 1:k2 + 1]  # y_{k1-1}..y_{k2}: nothing of another window
+    s_pre = project_estimate(preliminary_estimate(row[:q + 1], row[1:q + 2]), part.n)
     H = threshold(s_pre, k2, iota, part.n)
-    tau, kappa, gamma = run_stopping_rule(y, iota, k2, H)
-    s_star = sequential_estimate(y, iota, H, tau, kappa, gamma)
-    return (l + 1, s_pre, H, tau, kappa, gamma, s_star, 1.0 / H)
+    step, kappa, gamma = run_stopping_rule(row[q + 1:], k2 - iota - 1, H)
+    s_star = sequential_estimate(row[q + 1:], H, step, kappa, gamma)
+    return (l + 1, s_pre, H, iota + 1 + step, kappa, gamma, s_star, 1.0 / H)
 
 
 def as_bytes(record, dtype):
@@ -71,6 +72,7 @@ def test_rows_match_single_window(traj):
 @PROPERTY
 @given(paths(), st.floats(0.0, 1.0), st.floats(-1e3, 1e3))
 def test_window_locality(traj, where, shift):
+    # the gathered row of window l runs on into window l+1, which is shifted too
     part = compute_partition(traj.n)
     l = min(int(where * part.d), part.d - 1)
     k1, k2 = part.k1[l], part.k2[l]
