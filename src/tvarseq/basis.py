@@ -63,12 +63,15 @@ def fourier_coefficients(basis, Y, sigma2):
 
     theta_hat_{j,d} = ((b-a)/d) sum_l Y_l phi_j(z_l)
     s_{j,d}        = ((b-a)/d) sum_l sigma2_l phi_j(z_l)^2
+
+    Y and sigma2 are one sample of length d or an (m, d) stack of samples,
+    which gives one row of coefficients per sample.
     """
     Y = np.asarray(Y, dtype=float)
     sigma2 = np.asarray(sigma2, dtype=float)
-    if Y.shape != (basis.d,) or sigma2.shape != (basis.d,):
-        raise ValueError(f"expected vectors of length d={basis.d}")
+    if Y.ndim not in (1, 2) or Y.shape[-1] != basis.d or sigma2.shape != Y.shape:
+        raise ValueError(f"expected vectors of length d={basis.d}, or stacks of them")
     w = (basis.b - basis.a) / basis.d
-    theta_hat = w * (basis.phi.T @ Y)
-    s_jd = w * ((basis.phi ** 2).T @ sigma2)
+    theta_hat = w * (Y @ basis.phi)
+    s_jd = w * (sigma2 @ basis.phi ** 2)
     return FourierCoeffs(theta_hat=theta_hat, s_jd=s_jd)

@@ -2,9 +2,12 @@
 (signal, n, noise) cells.
 
 Each replication simulates a fresh trajectory from a deterministically derived
-seed, runs the full estimation pipeline, and contributes the squared error at
-every grid point.  Replications are independent and could run in parallel;
-they are executed in replication order so the floating-point aggregation is
+seed and runs the sequential stage on it, one replication at a time.  The
+regression samples of a chunk of replications are then estimated together:
+one coefficient product and one criterion product over the whole weight grid
+per chunk, so the grid is read once per chunk, not once per replication.  A
+chunk's criterion block holds at most CHUNK_VALUES values (8 MB).  Squared
+errors and selections are aggregated in replication order, so a cell is
 reproducible bit-for-bit.
 """
 
@@ -59,6 +62,9 @@ class RiskReport:
                    c.gamma_frequency, c.mean_k, c.mean_t, self.robust[c.n])
 
 
+# values in one chunk's (m, nu) criterion block: 8 MB of float64
+CHUNK_VALUES = 2 ** 20
+
 # wall_time stays off the exported rows so reruns are byte-identical
 REPORT_COLUMNS = ("signal", "n", "noise", "M", "rbar", "rbar_star",
                   "gamma_frequency", "mean_k", "mean_t", "robust_rbar")
@@ -74,25 +80,36 @@ def _cell(ctx, noise, M, base_seed, signal_id, t0):
     """The M replications of one cell on its fixed inputs; wall_time counts from t0."""
     if M < 1:
         raise ValueError("need M >= 1")
-    n = ctx.part.n
+    n, d = ctx.part.n, ctx.part.d
     S_grid = pl.signal_values_on_grid(ctx.spec, ctx.part)
     norm_n = float(ctx.S_design[1:] @ ctx.S_design[1:]) / n
 
-    sq_err = np.zeros(ctx.part.d)
-    mean_est = np.zeros(ctx.part.d)
+    sq_err = np.zeros(d)
+    mean_est = np.zeros(d)
     gamma_count = 0
     k_sum = 0.0
     t_sum = 0.0
-    for r in range(1, M + 1):
-        traj = generate_trajectory(ctx.spec, noise, n, replication_seed(base_seed, r),
-                                   signal_values=ctx.S_design)
-        res = pl.estimate_from_regression(build_regression(traj, ctx.part), ctx)
-        diff = res.selection.S_star - S_grid
-        sq_err += diff * diff
-        mean_est += res.selection.S_star
-        gamma_count += int(res.reg.gamma_all)
-        k_sum += res.selection.alpha_hat[0]
-        t_sum += res.selection.alpha_hat[1]
+    chunk = max(1, min(M, CHUNK_VALUES // ctx.grid.nu))
+    Y = np.empty((chunk, d))
+    sigma2 = np.empty((chunk, d))
+    for first in range(1, M + 1, chunk):
+        m = min(chunk, M + 1 - first)
+        for i in range(m):
+            # the path is dropped once its regression sample is built, so that
+            # the next replication simulates with one path alive, not two
+            seed = replication_seed(base_seed, first + i)
+            reg = build_regression(generate_trajectory(ctx.spec, noise, n, seed,
+                                                       signal_values=ctx.S_design), ctx.part)
+            Y[i] = reg.Y
+            sigma2[i] = reg.sigma2
+            gamma_count += int(reg.gamma_all)
+        _, chosen = pl.estimate_from_sample(ctx, Y[:m], sigma2[:m])
+        for S_star, (k, t) in zip(chosen.S_star, chosen.alpha_hat):
+            diff = S_star - S_grid
+            sq_err += diff * diff
+            mean_est += S_star
+            k_sum += k
+            t_sum += t
 
     rbar = float(np.mean(sq_err / M))
     return CellResult(signal_id=signal_id, n=n, noise_family=noise.family, M=M,
@@ -108,6 +125,8 @@ def run_table(spec, noise_specs, n_list, M, base_seed, mu0=0.5, delta=None,
     """One cell per (n, noise family), one context per n; robust column is the max over families."""
     if not n_list or not noise_specs:
         raise ValueError("need nonempty n_list and noise set")
+    if len(set(n_list)) != len(n_list):
+        raise ValueError(f"repeated sample size in n_list {list(n_list)}")
     cells = []
     for n in n_list:
         ctx = pl.make_context(spec, n, mu0, delta)

@@ -45,9 +45,15 @@ class EstimateResult:
 
 
 def estimate_from_regression(reg, ctx):
-    coeffs = fb.fourier_coefficients(ctx.basis, reg.Y, reg.sigma2)
-    selection = sel.select(coeffs, ctx.grid, ctx.delta, ctx.basis)
+    coeffs, selection = estimate_from_sample(ctx, reg.Y, reg.sigma2)
     return EstimateResult(context=ctx, reg=reg, coeffs=coeffs, selection=selection)
+
+
+def estimate_from_sample(ctx, Y, sigma2):
+    """Coefficients and selected estimate for one sample (Y, sigma2) on the z grid,
+    or for an (m, d) stack of samples, selected in one criterion product."""
+    coeffs = fb.fourier_coefficients(ctx.basis, Y, sigma2)
+    return coeffs, sel.select(coeffs, ctx.grid, ctx.delta, ctx.basis)
 
 
 def estimate_signal(ctx, noise, seed):

@@ -99,19 +99,29 @@ def criterion(lam, lam_sq, coeffs, delta, a, b, d):
     theta~_j = theta_hat_j^2 - ((b-a)/d) s_{j,d} debiases the squared
     coefficient and P_d = ((b-a)/d) sum lambda^2 s_{j,d} is the penalty; the
     two lambda^2 sums share one product.  lam may hold only the first W <= d
-    weights (the rest being 0): the sums then run over j = 1..W.  Accepts a
-    single weight vector or a stack of them.
+    weights (the rest being 0): the sums then run over j = 1..W.  lam is one
+    weight vector or a (nu, W) stack of them, and coeffs one sample or a stack
+    of samples along leading axes: J then holds one row of nu values per sample.
     """
     check_delta(delta)
     width = np.shape(lam)[-1]
-    th2 = coeffs.theta_hat[:width] ** 2
-    ws = (b - a) / d * coeffs.s_jd[:width]
-    return lam_sq @ (th2 + delta * ws) - 2.0 * (lam @ (th2 - ws))
+    th2 = coeffs.theta_hat[..., :width] ** 2
+    ws = (b - a) / d * coeffs.s_jd[..., :width]
+    cross = (th2 - ws) @ lam.T
+    cross *= 2.0
+    J = (th2 + delta * ws) @ lam_sq.T
+    J -= cross  # in place: a stack of samples keeps two (m, nu) blocks alive, not four
+    return J
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Selected weights, criterion values over the grid, and the estimate."""
+    """Selected weights, criterion values over the grid, and the estimate.
+
+    For one sample alpha_hat is a (k, t) pair and alpha_index an int; for a
+    (m, d) stack of samples they hold one entry per row, and the arrays gain a
+    leading axis of length m.
+    """
 
     alpha_hat: tuple
     alpha_index: int
@@ -124,22 +134,28 @@ def select(coeffs, grid, delta, basis):
     """argmin_alpha J_d(lambda_alpha); ties go to the smallest (k, t).
 
     lambda_hat is the selected profile on all of 1..d; S_star holds the
-    selected estimate's values at the z grid.
+    selected estimate's values at the z grid.  coeffs is one sample or a stack
+    of them; a stack is selected row by row in one criterion product.
     """
     if grid.nu == 0:
         raise ConfigurationError("empty weight grid")
     J = criterion(grid.lam, grid.lam_sq, coeffs, delta, grid.a, grid.b, grid.d)
-    idx = int(np.argmin(J))  # first minimum = lexicographically smallest alpha
-    lam_hat = np.zeros(grid.d)
-    lam_hat[:grid.lam.shape[1]] = grid.lam[idx]
-    return SelectionResult(alpha_hat=grid.alphas[idx], alpha_index=idx,
+    idx = np.argmin(J, axis=-1)  # first minimum = lexicographically smallest alpha
+    lam_hat = np.zeros(J.shape[:-1] + (grid.d,))
+    lam_hat[..., :grid.lam.shape[1]] = grid.lam[idx]
+    if idx.ndim == 0:
+        idx = int(idx)
+        alpha_hat = grid.alphas[idx]
+    else:
+        alpha_hat = tuple(grid.alphas[i] for i in idx)
+    return SelectionResult(alpha_hat=alpha_hat, alpha_index=idx,
                            lambda_hat=lam_hat, J_values=J,
                            S_star=weighted_estimate_values(lam_hat, coeffs, basis))
 
 
 def weighted_estimate_values(lam, coeffs, basis):
-    """Values of the shrinkage estimator S_hat_lambda at the z grid."""
-    return basis.phi @ (np.asarray(lam, dtype=float) * coeffs.theta_hat)
+    """Values of the shrinkage estimator S_hat_lambda at the z grid (per row for a stack)."""
+    return (np.asarray(lam, dtype=float) * coeffs.theta_hat) @ basis.phi.T
 
 
 def empirical_error(S_values, estimate_values, a, b, d):

@@ -8,6 +8,7 @@ sigma_star(S) = integral of 1 - S^2 over [a, b].
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -25,10 +26,17 @@ def sigma_star(spec):
     return span * (1.0 - c0 * c0 - 0.5 * float(A @ A + B @ B))
 
 
+def check_radius(r):
+    """Reject a Sobolev radius that is not a finite number > 0 (NaN included)."""
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"need a finite r > 0, got {r}")
+
+
 def pinsker_constant(k, r):
     """Sharp asymptotic constant l_k(r) for the minimax quadratic risk."""
-    if k < 1 or r <= 0:
-        raise ValueError("need k >= 1 and r > 0")
+    if k < 1:
+        raise ValueError("need k >= 1")
+    check_radius(r)
     return ((1.0 + 2.0 * k) * r) ** (1.0 / (2 * k + 1)) * \
         (k / (np.pi * (k + 1.0))) ** (2.0 * k / (2 * k + 1))
 
@@ -62,8 +70,7 @@ class SobolevSpec:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("need k >= 2")
-        if self.r <= 0:
-            raise ValueError("need r > 0")
+        check_radius(self.r)
 
 
 def sobolev_membership(theta, spec):

@@ -126,6 +126,12 @@ class TestRiskTable:
                    "--format", "csv,xml") == EXIT_VALIDATION
         assert list(tmp_path.iterdir()) == []
 
+    def test_repeated_n_rejected(self, tmp_path, capsys):
+        assert run(tmp_path, "risk-table", "--signal", "s1", "--n", "200,500,200",
+                   "--M", "2", "--seed", "3") == EXIT_VALIDATION
+        assert "repeated sample size" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_noise_all(self, tmp_path):
         assert run(tmp_path, "risk-table", "--signal", "s1", "--n", "200",
                    "--M", "2", "--seed", "1", "--noise", "all") == EXIT_OK
@@ -146,6 +152,13 @@ class TestPinsker:
 
     def test_missing_r(self, capsys):
         assert main(["pinsker", "--k", "1"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("r", ["nan", "inf"])
+    def test_non_finite_r_rejected(self, tmp_path, capsys, r):
+        assert main(["pinsker", "--k", "2", "--r", r, "--out", str(tmp_path / "out")]) \
+            == EXIT_VALIDATION
+        assert "finite r" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestOptions:

@@ -66,6 +66,36 @@ class TestRunTable:
         with pytest.raises(ValueError):
             run_table(s1, [], [200], M=2, base_seed=1)
 
+    def test_repeated_n_rejected(self, s1, gaussian):
+        with pytest.raises(ValueError, match="repeated sample size"):
+            run_table(s1, [gaussian], [200, 500, 200], M=2, base_seed=1)
+
+
+class TestChunks:
+    """A cell estimates its replications in chunks; the result is the per-replication pipeline's."""
+
+    def test_cell_across_chunks_equals_replications(self, s1, gaussian):
+        seed, M = 17, 250
+        ctx = pl.make_context(s1, 200)
+        assert harness.CHUNK_VALUES // ctx.grid.nu < M  # two chunks: 246 + 4
+        cell = harness._cell(ctx, gaussian, M, seed, "s1", 0.0)
+        S_grid = pl.signal_values_on_grid(s1, ctx.part)
+        sq_err = np.zeros(ctx.part.d)
+        gamma, k_sum, t_sum = 0, 0.0, 0.0
+        for r in range(1, M + 1):
+            res = pl.estimate_signal(ctx, gaussian, signals.replication_seed(seed, r))
+            sq_err += (res.selection.S_star - S_grid) ** 2
+            gamma += int(res.reg.gamma_all)
+            k_sum += res.selection.alpha_hat[0]
+            t_sum += res.selection.alpha_hat[1]
+        rbar = float(np.mean(sq_err / M))
+        assert cell.rbar == pytest.approx(rbar, rel=1e-12, abs=0.0)
+        norm_n = float(ctx.S_design[1:] @ ctx.S_design[1:]) / 200
+        assert cell.rbar_star == pytest.approx(rbar / norm_n, rel=1e-12, abs=0.0)
+        assert cell.gamma_frequency == gamma / M
+        assert cell.mean_k == k_sum / M
+        assert cell.mean_t == t_sum / M
+
 
 class TestContext:
     """A cell's fixed inputs come from one context, built once per (signal, n)."""

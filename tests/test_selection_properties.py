@@ -2,8 +2,9 @@
 
 Each example draws an odd d, an interval [a, b] and random inputs, then
 checks that the criterion J_d equals its expanded sums (the weights given on a
-band 1..W of the d coefficients, zero beyond), and that the coefficients of a
-random Y reconstruct Y and satisfy Parseval.
+band 1..W of the d coefficients, zero beyond), that the coefficients of a
+random Y reconstruct Y and satisfy Parseval, and that coefficients and
+selection on an (m, d) stack of samples equal the calls on each row alone.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from tvarseq.basis import FourierCoeffs, TrigBasis, fourier_coefficients
-from tvarseq.selection import DELTA_MAX, criterion
+from tvarseq.selection import DELTA_MAX, WeightGrid, criterion, select
 
 PROPERTY = settings(deadline=None, max_examples=50, derandomize=True, database=None)
 
@@ -67,3 +68,61 @@ def test_parseval_and_reconstruction(half_d, interval, scale, seed):
     assert np.max(np.abs(basis.phi @ theta_hat - Y)) <= 1e-12 * np.max(np.abs(Y))
     energy = (basis.b - basis.a) / d * float(Y @ Y)
     assert abs(float(theta_hat @ theta_hat) - energy) <= 1e-12 * energy
+
+
+def hand_grid(lam, a, b, d):
+    """A weight grid holding the given (nu, W) profiles, alpha = (row + 1, 1.0)."""
+    nu = len(lam)
+    return WeightGrid(a=a, b=b, d=d, k_star=nu, m=1, eps=1.0,
+                      alphas=tuple((k, 1.0) for k in range(1, nu + 1)),
+                      lam=lam, lam_sq=lam * lam, j_star=np.zeros(nu), omega=np.zeros(nu))
+
+
+def assert_close(got, want, scale):
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@PROPERTY
+@given(criterion_inputs(), st.integers(1, 8), st.floats(1e-3, 1e3), st.integers(0, 2 ** 32 - 1))
+def test_stack_equals_rows(inputs, m, scale, seed):
+    lam, _, delta, a, b, d = inputs
+    rng = np.random.default_rng(seed)
+    basis, grid = TrigBasis(a, b, d), hand_grid(lam, a, b, d)
+    Y = scale * rng.standard_normal((m, d))
+    sigma2 = scale * scale * rng.random((m, d))
+    stack = fourier_coefficients(basis, Y, sigma2)
+    chosen = select(stack, grid, delta, basis)
+    assert chosen.J_values.shape == (m, grid.nu) and chosen.S_star.shape == (m, d)
+    assert len(chosen.alpha_hat) == m
+    for i in range(m):
+        row = fourier_coefficients(basis, Y[i], sigma2[i])
+        assert_close(stack.theta_hat[i], row.theta_hat, np.max(np.abs(row.theta_hat)))
+        assert_close(stack.s_jd[i], row.s_jd, np.max(row.s_jd))
+        one = select(row, grid, delta, basis)
+        assert isinstance(one.alpha_index, int)
+        # scale of J's terms: sum over j of (th2 + w s)(lam^2 + 2 lam)
+        W = lam.shape[1]
+        terms = (row.theta_hat[:W] ** 2 + (b - a) / d * row.s_jd[:W]) @ (lam * lam + 2 * lam).T
+        assert_close(chosen.J_values[i], one.J_values, np.max(terms))
+        best, second = np.sort(one.J_values)[:2] if grid.nu > 1 else (0.0, np.inf)
+        if second - best > 1e-12 * np.max(terms):
+            assert chosen.alpha_index[i] == one.alpha_index
+        if chosen.alpha_index[i] == one.alpha_index:
+            assert chosen.alpha_hat[i] == one.alpha_hat
+            np.testing.assert_array_equal(chosen.lambda_hat[i], one.lambda_hat)
+            assert_close(chosen.S_star[i], one.S_star,
+                         np.sum(np.abs(one.lambda_hat * row.theta_hat)) * np.max(np.abs(basis.phi)))
+
+
+def test_exact_tie_picks_smaller_index_in_every_row():
+    # theta in {1, 2, 3}, s = 0: J = sum theta^2 (lam^2 - 2 lam) is exact, and
+    # profiles 1 and 2 (both lam = 1) tie below profile 0 (lam = 1/2) in every row
+    d = 7
+    basis = TrigBasis(0.0, 1.0, d)
+    grid = hand_grid(np.array([[0.5] * 4, [1.0] * 4, [1.0] * 4]), 0.0, 1.0, d)
+    theta = np.array([[1.0] * d, [2.0] * d, [3.0, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0]])
+    coeffs = FourierCoeffs(theta_hat=theta, s_jd=np.zeros((3, d)))
+    chosen = select(coeffs, grid, 0.05, basis)
+    assert np.all(chosen.J_values[:, 1] == chosen.J_values[:, 2])
+    assert chosen.alpha_index.tolist() == [1, 1, 1]
+    assert chosen.alpha_hat == ((2, 1.0),) * 3

@@ -75,6 +75,11 @@ class TestPinskerConstant:
     def test_vanishes_at_zero_radius(self):
         assert pinsker_constant(2, 1e-30) < 1e-5
 
+    @pytest.mark.parametrize("r", [float("nan"), float("inf")])
+    def test_non_finite_r_rejected(self, r):
+        with pytest.raises(ValueError, match="finite r"):
+            pinsker_constant(2, r)
+
     def test_monotone_in_r(self):
         rs = np.linspace(0.1, 5.0, 20)
         vals = [pinsker_constant(2, r) for r in rs]
@@ -146,6 +151,9 @@ class TestSobolev:
             SobolevSpec(k=1, r=1.0)
         with pytest.raises(ValueError):
             SobolevSpec(k=2, r=0.0)
+        for r in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite r"):
+                SobolevSpec(k=2, r=r)
 
 
 class TestEfficiencyReport:
