@@ -22,7 +22,7 @@ res = estimate_signal(ctx, tv.NoiseSpec("gaussian_std"), seed=12345)
 
 est = project_coefficients(res.selection.S_star, 0.0, 1.0, i_max=10)
 print("  i   beta_i   beta_hat_i")
-for i, v in est.rows():
+for i, v in enumerate(est.coefficients, start=1):
     truth = beta_true[i - 1] if i <= len(beta_true) else 0.0
     print(f"  {i:>2}  {truth:+.3f}   {v:+.5f}")
 

@@ -19,7 +19,6 @@ from .sequential import (GridPartition, RegressionSample, build_regression,
 from .signals import (NoiseSpec, SignalSpec, Trajectory, evaluate_signal,
                       generate_trajectory, replication_seed, signal_s1, signal_s2,
                       validate_stability)
-from .theory import (EfficiencyReport, SobolevSpec, efficiency_ratio,
-                     pinsker_constant, sigma_star, sobolev_membership, upsilon)
+from .theory import EfficiencyReport, efficiency_ratio, pinsker_constant, sigma_star, upsilon
 
 __version__ = "0.1.0"

@@ -22,10 +22,6 @@ class BetaEstimate:
     a: float = 0.0
     b: float = 1.0
 
-    def rows(self):
-        for i, v in enumerate(self.coefficients, start=1):
-            yield i, v
-
 
 def _cell_integrals(i_max, d, a, b):
     """W[i-1, l-1] = integral of psi_i over the cell ]z_{l-1}, z_l], closed form."""

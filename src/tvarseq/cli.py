@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: simulate, estimate, risk-table, pinsker, beta.
-Exit codes: 0 success, 2 validation error, 3 I/O error.
+Exit codes: 0 success, 2 validation error or an input too large for memory,
+3 I/O error.
 """
 
 import argparse
@@ -60,12 +61,12 @@ def ensure_out(path):
 def cmd_simulate(args):
     spec = resolve_signal(args.signal)
     noise = resolve_noise(args.noise)
-    out = ensure_out(args.out)
     traj = generate_trajectory(spec, noise, args.n, args.seed)
+    out = ensure_out(args.out)
     run_cfg = {"command": "simulate", "signal": spec.to_dict(),
                "noise": noise.to_dict(), "n": args.n, "seed": args.seed}
     path = os.path.join(out, "trajectory.csv")
-    write_csv(path, run_cfg, ("j", "x_j", "y_j"), traj.rows())
+    write_csv(path, run_cfg, {"j": range(traj.n + 1), "x_j": traj.x, "y_j": traj.y})
     print(path)
     return EXIT_OK
 
@@ -85,33 +86,32 @@ def _run_estimate(args):
 def cmd_estimate(args):
     spec, res, run_cfg = _run_estimate(args)
     out = ensure_out(args.out)
+    pts, grid, one_to_d = res.reg.points, res.context.grid, range(1, res.context.part.d + 1)
     tables = {
-        "seq_points.csv": (("l", "z_l", "Y_l", "sigma2_l", "tau_l", "gamma_l"), res.reg.rows()),
-        "coefficients.csv": (("j", "theta_hat_j", "s_jd"),
-                             zip(range(1, len(res.coeffs.theta_hat) + 1),
-                                 res.coeffs.theta_hat, res.coeffs.s_jd)),
-        "criterion.csv": (("k", "t", "J"), ((k, t, J) for (k, t), J in
-                                           zip(res.context.grid.alphas, res.selection.J_values))),
-        "s_star.csv": (("l", "z_l", "S_star"), zip(range(1, res.context.part.d + 1),
-                                                  res.context.part.z, res.selection.S_star)),
+        "seq_points.csv": {"l": pts.l, "z_l": res.reg.z, "Y_l": pts.s_star,
+                           "sigma2_l": pts.sigma2, "tau_l": pts.tau, "gamma_l": pts.gamma},
+        "coefficients.csv": {"j": one_to_d, "theta_hat_j": res.coeffs.theta_hat,
+                             "s_jd": res.coeffs.s_jd},
+        "criterion.csv": {"k": grid.k, "t": grid.t, "J": res.selection.J_values},
+        "s_star.csv": {"l": one_to_d, "z_l": res.context.part.z, "S_star": res.selection.S_star},
     }
     paths = [os.path.join(out, name) for name in tables if "csv" in args.format]
-    for p, table in zip(paths, tables.values()):
-        write_csv(p, run_cfg, *table)
+    for path, table in zip(paths, tables.values()):
+        write_csv(path, run_cfg, table)
     if "json" in args.format:
-        p = os.path.join(out, "selection.json")
-        write_json(p, run_cfg, {
+        path = os.path.join(out, "selection.json")
+        write_json(path, run_cfg, {
             "selected_k": res.selection.alpha_hat[0],
             "selected_t": res.selection.alpha_hat[1],
             "delta": res.context.delta,
             "gamma": res.reg.gamma_all,
             "J_min": float(res.selection.J_values[res.selection.alpha_index]),
         })
-        paths.append(p)
+        paths.append(path)
     k, t = res.selection.alpha_hat
     print(f"selected (k, t) = ({k}, {t:.6g}); gamma={res.reg.gamma_all}")
-    for p in paths:
-        print(p)
+    for path in paths:
+        print(path)
     return EXIT_OK
 
 
@@ -162,7 +162,7 @@ def cmd_beta(args):
     est = beta_mod.project_coefficients(res.selection.S_star, spec.a, spec.b, i_max)
     out = ensure_out(args.out)
     path = os.path.join(out, "beta.csv")
-    write_csv(path, run_cfg, ("i", "beta_hat_i"), est.rows())
+    write_csv(path, run_cfg, {"i": range(1, i_max + 1), "beta_hat_i": est.coefficients})
     payload = {"i_max": i_max}
     if spec.kind == "series":
         payload["l2_error"] = beta_mod.beta_error(est, spec.coefficients)
@@ -250,6 +250,9 @@ def main(argv=None):
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     except ValueError as exc:  # ValidationError and ConfigurationError among them
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # an input too large for memory, e.g. numpy's allocation error
+        print(f"error: input too large for memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

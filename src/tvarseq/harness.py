@@ -56,18 +56,9 @@ class RiskReport:
     base_seed: int
     robust: dict  # n -> max rbar over noise families
 
-    def rows(self):
-        for c in self.cells:
-            yield (c.signal_id, c.n, c.noise_family, c.M, c.rbar, c.rbar_star,
-                   c.gamma_frequency, c.mean_k, c.mean_t, self.robust[c.n])
-
 
 # values in one chunk's (m, nu) criterion block: 8 MB of float64
 CHUNK_VALUES = 2 ** 20
-
-# wall_time stays off the exported rows so reruns are byte-identical
-REPORT_COLUMNS = ("signal", "n", "noise", "M", "rbar", "rbar_star",
-                  "gamma_frequency", "mean_k", "mean_t", "robust_rbar")
 
 
 def run_cell(spec, noise, n, M, base_seed, mu0=0.5, delta=None, signal_id=""):
@@ -139,16 +130,21 @@ def run_table(spec, noise_specs, n_list, M, base_seed, mu0=0.5, delta=None,
 
 
 def export_report(report, cfg, out_dir, formats=("csv", "json"), prefix="risk_table"):
-    """Emit the report as CSV/JSON plus a plot-ready grid CSV per cell."""
+    """Emit the report as CSV/JSON plus a plot-ready grid CSV per cell.
+
+    A row of the table is a cell's summary() plus its robust_rbar; wall_time
+    stays out of both files so reruns are byte-identical.
+    """
     paths = []
     if "csv" in formats:
         path = os.path.join(out_dir, f"{prefix}.csv")
-        write_csv(path, cfg, REPORT_COLUMNS, report.rows())
+        rows = [{**c.summary(), "robust_rbar": report.robust[c.n]} for c in report.cells]
+        write_csv(path, cfg, {name: [row[name] for row in rows] for name in rows[0]})
         paths.append(path)
         for c in report.cells:
             cell_path = os.path.join(out_dir, f"{prefix}_{c.signal_id}_n{c.n}_{c.noise_family}.csv")
-            rows = zip(range(1, len(c.z) + 1), c.z, c.S_grid, c.mean_estimate)
-            write_csv(cell_path, cfg, ("l", "z_l", "S", "mean_estimate"), rows)
+            write_csv(cell_path, cfg, {"l": range(1, len(c.z) + 1), "z_l": c.z, "S": c.S_grid,
+                                       "mean_estimate": c.mean_estimate})
             paths.append(cell_path)
     if "json" in formats:
         path = os.path.join(out_dir, f"{prefix}.json")

@@ -17,23 +17,26 @@ def config_hash(cfg):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _fmt(v):
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
-    return str(v)
+def _column(values):
+    """One column as text: bools as 0/1, floats as their shortest round-trip repr.
+
+    The values go through tolist(), because repr of a numpy float64 reads
+    'np.float64(...)' under numpy 2; str of a Python float is its repr.  The
+    strings are made row by row as the file is written, not held all at once.
+    """
+    values = np.asarray(values)
+    if values.dtype == bool:
+        values = values.astype(int)
+    return map(str, values.tolist())
 
 
-def write_csv(path, cfg, columns, rows):
-    """CSV with '#' config-hash header line, '.' decimals, LF endings, UTF-8."""
+def write_csv(path, cfg, table):
+    """CSV of a {name: column} table with a '#' config-hash line, LF endings, UTF-8."""
+    columns = [_column(values) for values in table.values()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config_hash={config_hash(cfg)}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(table) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns, strict=True))
 
 
 def write_json(path, cfg, payload):

@@ -33,7 +33,8 @@ class WeightGrid:
     k_star: int
     m: int
     eps: float
-    alphas: tuple                      # (k, t) pairs, k outer / t inner
+    k: np.ndarray = field(repr=False)        # per alpha; k outer, t inner
+    t: np.ndarray = field(repr=False)        # per alpha
     lam: np.ndarray = field(repr=False)      # shape (nu, W): columns j = 1..W
     lam_sq: np.ndarray = field(repr=False)   # lam * lam
     j_star: np.ndarray = field(repr=False)   # per alpha, real-valued
@@ -41,7 +42,7 @@ class WeightGrid:
 
     @property
     def nu(self):
-        return len(self.alphas)
+        return len(self.k)
 
 
 def build_weight_grid(n, a=0.0, b=1.0):
@@ -79,9 +80,8 @@ def build_weight_grid(n, a=0.0, b=1.0):
     np.copyto(lam, 1.0, where=j < j_star[:, :, None])
     lam = lam.reshape(k_star * m, width)
 
-    alphas = tuple((int(ki), eps * ti) for ki in range(1, k_star + 1)
-                   for ti in range(1, m + 1))
-    return WeightGrid(a=a, b=b, d=d, k_star=k_star, m=m, eps=eps, alphas=alphas,
+    return WeightGrid(a=a, b=b, d=d, k_star=k_star, m=m, eps=eps,
+                      k=np.repeat(np.arange(1, k_star + 1), m), t=np.tile(t[0], k_star),
                       lam=lam, lam_sq=lam * lam,
                       j_star=j_star.reshape(-1), omega=omega.reshape(-1))
 
@@ -143,11 +143,11 @@ def select(coeffs, grid, delta, basis):
     idx = np.argmin(J, axis=-1)  # first minimum = lexicographically smallest alpha
     lam_hat = np.zeros(J.shape[:-1] + (grid.d,))
     lam_hat[..., :grid.lam.shape[1]] = grid.lam[idx]
+    k, t = grid.k[idx].tolist(), grid.t[idx].tolist()  # Python scalars for the JSON
     if idx.ndim == 0:
-        idx = int(idx)
-        alpha_hat = grid.alphas[idx]
+        idx, alpha_hat = int(idx), (k, t)
     else:
-        alpha_hat = tuple(grid.alphas[i] for i in idx)
+        alpha_hat = tuple(zip(k, t))
     return SelectionResult(alpha_hat=alpha_hat, alpha_index=idx,
                            lambda_hat=lam_hat, J_values=J,
                            S_star=weighted_estimate_values(lam_hat, coeffs, basis))

@@ -174,11 +174,6 @@ class RegressionSample:
     def sigma2(self):
         return np.ascontiguousarray(self.points.sigma2)
 
-    def rows(self):
-        """(l, z_l, Y_l, sigma2_l, tau_l, gamma_l) rows for CSV export."""
-        p = self.points
-        return zip(p.l, self.z, p.s_star, p.sigma2, p.tau, p.gamma.astype(int))
-
 
 def _sample(part, *columns):
     """RegressionSample from the columns after l, in POINT_FIELDS order."""

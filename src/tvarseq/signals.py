@@ -219,21 +219,6 @@ class NoiseSpec:
             return self.radius * (2.0 * rng.beta(s, s, size) - 1.0)
         return np.zeros(size)
 
-    def moment_2l(self, l):
-        """Analytic E|xi|^{2l}."""
-        if self.family == "gaussian_std":
-            return float(math.factorial(2 * l)) / (2 ** l * math.factorial(l))
-        if self.family == "uniform_unit_variance":
-            return 3.0 ** l / (2 * l + 1)
-        if self.family == "bounded_symmetric":
-            # E(2B-1)^{2l} for B ~ Beta(s,s), via the even central moments
-            s = (self.radius ** 2 - 1.0) / 2.0
-            m = 1.0
-            for i in range(1, l + 1):
-                m *= (2 * i - 1) / (2 * s + 2 * i - 1)
-            return self.radius ** (2 * l) * m
-        return 0.0
-
     def to_dict(self):
         cfg = {"family": self.family, "varsigma": self.varsigma}
         if self.family == "bounded_symmetric":
@@ -255,10 +240,6 @@ class Trajectory:
     @property
     def x(self):
         return self.a + (self.b - self.a) * np.arange(self.n + 1) / self.n
-
-    def rows(self):
-        """(j, x_j, y_j) triples for CSV export."""
-        return zip(range(self.n + 1), self.x, self.y)
 
 
 def replication_seed(base_seed, r):

@@ -1,5 +1,5 @@
-"""Constructive theory quantities: Sobolev weights, noise-intensity functional,
-the sharp minimax constant, and the efficiency diagnostic.
+"""Constructive theory quantities: the noise-intensity functional, the sharp
+minimax constant, and the efficiency diagnostic.
 
 For smoothness k and radius r the sharp constant for quadratic risk is
 l_k(r) = ((1+2k) r)^{1/(2k+1)} * (k/(pi*(k+1)))^{2k/(2k+1)}; the model-specific
@@ -44,42 +44,6 @@ def pinsker_constant(k, r):
 def upsilon(spec, k):
     """Risk normalizer ((b-a) * sigma_star(S))^{-2k/(2k+1)}."""
     return ((spec.b - spec.a) * sigma_star(spec)) ** (-2.0 * k / (2 * k + 1))
-
-
-def sobolev_weights(j, k, span):
-    """a_j = sum_{l=0}^{k} (2*pi*[j/2]/(b-a))^{2l}; a_1 = 1."""
-    j = np.asarray(j)
-    base = (2.0 * np.pi * (j // 2) / span) ** 2
-    out = np.ones_like(base, dtype=float)
-    p = np.ones_like(base, dtype=float)
-    for _ in range(k):
-        p = p * base
-        out = out + p
-    return out
-
-
-@dataclass(frozen=True)
-class SobolevSpec:
-    """Smoothness order k >= 2 and squared-norm budget r > 0 on [a, b]."""
-
-    k: int
-    r: float
-    a: float = 0.0
-    b: float = 1.0
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("need k >= 2")
-        check_radius(self.r)
-
-
-def sobolev_membership(theta, spec):
-    """Weighted sum sum_j a_j theta_j^2 over all given terms, and whether it is
-    within the budget r.  theta is a finite truncation of the coefficient sequence."""
-    theta = np.asarray(theta, dtype=float)
-    a_j = sobolev_weights(np.arange(1, len(theta) + 1), spec.k, spec.b - spec.a)
-    total = float(a_j @ theta ** 2)
-    return total, total <= spec.r
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tvarseq.beta as beta_mod
+import tvarseq.cli as cli
+import tvarseq.pipeline as pl
 from tvarseq.cli import COMMANDS, EXIT_OK, EXIT_VALIDATION, main, parse_args
 
 
@@ -212,6 +215,28 @@ class TestUnstableSignal:
         assert "stability" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+class TestOutOfMemory:
+    """An input too large for memory is a validation error, and nothing is written."""
+
+    @pytest.mark.parametrize("argv,module,name", [
+        (["estimate", "--n", "400000000"], pl, "make_context"),
+        (["beta", "--n", "500", "--i-max", "100000000"], beta_mod, "project_coefficients"),
+        (["simulate", "--n", "400000000"], cli, "generate_trajectory"),
+    ])
+    def test_exit_2(self, tmp_path, capsys, monkeypatch, argv, module, name):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 17.9 GiB for an array")
+
+        monkeypatch.setattr(module, name, too_large)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "17.9 GiB" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestBeta:

@@ -8,7 +8,7 @@ import pytest
 
 import tvarseq.pipeline as pl
 from tvarseq import harness, signals
-from tvarseq.harness import REPORT_COLUMNS, export_report, run_cell, run_table
+from tvarseq.harness import export_report, run_cell, run_table
 from tvarseq.io import config_hash
 from tvarseq.signals import SignalSpec
 
@@ -46,10 +46,13 @@ class TestRunTable:
         return run_table(s1, [gaussian, uniform_noise], [200, 500], M=5,
                          base_seed=42, signal_id="s1")
 
-    def test_layout(self, small_report):
+    def test_layout(self, small_report, tmp_path):
         assert len(small_report.cells) == 4
-        rows = list(small_report.rows())
-        assert len(rows[0]) == len(REPORT_COLUMNS)
+        export_report(small_report, {}, str(tmp_path), formats=("csv",))
+        header, *rows = (tmp_path / "risk_table.csv").read_text().splitlines()[1:]
+        assert header == "signal,n,noise,M,rbar,rbar_star,gamma_frequency,mean_k,mean_t,robust_rbar"
+        assert len(rows) == 4
+        assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
 
     def test_robust_column(self, small_report):
         for n in (200, 500):

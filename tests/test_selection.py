@@ -38,9 +38,8 @@ class TestWeightGrid:
         j = np.arange(1, grid.lam.shape[1] + 1)
         head = j[None, :] < grid.j_star[:, None]
         np.testing.assert_allclose(grid.lam[head], 1.0, atol=1e-14)
-        ks = np.array([k for k, _ in grid.alphas])
         interior = (~head) & (j[None, :] <= grid.omega[:, None])
-        expected = 1.0 - (j[None, :] / grid.omega[:, None]) ** ks[:, None]
+        expected = 1.0 - (j[None, :] / grid.omega[:, None]) ** grid.k[:, None]
         np.testing.assert_allclose(grid.lam[interior], expected[interior], atol=1e-12)
 
     def test_tail_cutoff(self):
@@ -57,7 +56,7 @@ class TestWeightGrid:
         grid = build_weight_grid(n)
         W = grid.lam.shape[1]
         j = np.arange(1, grid.d + 1)[None, :]
-        ks = np.array([k for k, _ in grid.alphas], dtype=float)[:, None]
+        ks = grid.k.astype(float)[:, None]
         dense = np.where(j < grid.j_star[:, None], 1.0,
                          np.maximum(1.0 - (j / grid.omega[:, None]) ** ks, 0.0))
         assert W < grid.d
@@ -75,11 +74,13 @@ class TestWeightGrid:
     def test_declared_alphas(self):
         grid = build_weight_grid(200)
         eps = 1.0 / math.log(200)
-        k, t = grid.alphas[0]
+        k, t = grid.k[0], grid.t[0]
         assert k == 1 and t == pytest.approx(eps, abs=1e-12)
         # outer loop over k, inner loop over t
-        assert grid.alphas[1][0] == 1
-        assert grid.alphas[grid.m][0] == 2
+        assert grid.k[1] == 1
+        assert grid.k[grid.m] == 2
+        assert grid.t.tolist() == [grid.eps * ti for _ in range(grid.k_star)
+                                   for ti in range(1, grid.m + 1)]
 
 
 class TestPenaltyAndCriterion:
@@ -167,7 +168,9 @@ class TestSelect:
         # all-zero coefficients make every J equal: first alpha wins
         assert np.ptp(res.J_values) == 0.0
         assert res.alpha_index == 0
-        assert res.alpha_hat == grid.alphas[0]
+        assert res.alpha_hat == (grid.k[0], grid.t[0])
+        # Python scalars, so that selection.json writes numbers, not strings
+        assert [type(v) for v in res.alpha_hat] == [int, float]
 
     def test_noiseless_selection_near_oracle(self, s1, ctx_1000):
         # noiseless coefficients with zero variance proxies: the criterion is

@@ -74,7 +74,7 @@ def hand_grid(lam, a, b, d):
     """A weight grid holding the given (nu, W) profiles, alpha = (row + 1, 1.0)."""
     nu = len(lam)
     return WeightGrid(a=a, b=b, d=d, k_star=nu, m=1, eps=1.0,
-                      alphas=tuple((k, 1.0) for k in range(1, nu + 1)),
+                      k=np.arange(1, nu + 1), t=np.ones(nu),
                       lam=lam, lam_sq=lam * lam, j_star=np.zeros(nu), omega=np.zeros(nu))
 
 

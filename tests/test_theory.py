@@ -1,4 +1,4 @@
-"""Pinsker constant, signal functionals, and Sobolev membership."""
+"""Pinsker constant and signal functionals."""
 
 import math
 
@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 
 from tvarseq.signals import SignalSpec
-from tvarseq.theory import (
-    SobolevSpec,
-    efficiency_ratio,
-    pinsker_constant,
-    sigma_star,
-    sobolev_membership,
-    sobolev_weights,
-    upsilon,
-)
+from tvarseq.theory import efficiency_ratio, pinsker_constant, sigma_star, upsilon
 
 PINSKER_1_1 = 0.4235654288187097  # ((1+2)·1)^{1/3} (1/(2π))^{2/3}, frozen
 
@@ -105,55 +97,6 @@ class TestUpsilon:
                 span = spec.b - spec.a
                 prod = upsilon(spec, k) * (span * sigma_star(spec)) ** (2.0 * k / (2 * k + 1))
                 assert prod == pytest.approx(1.0, abs=1e-12)
-
-
-class TestSobolev:
-    def test_weights_base(self):
-        assert sobolev_weights(np.array([1]), 2, 1.0)[0] == 1.0
-        w = sobolev_weights(np.arange(1, 20), 2, 1.0)
-        # strictly increasing along the even and odd subsequences
-        assert np.all(np.diff(w[1::2]) > 0)
-        assert np.all(np.diff(w[2::2]) > 0)
-
-    def test_zero_vector(self):
-        total, member = sobolev_membership(np.zeros(10), SobolevSpec(k=2, r=1.0))
-        assert total == 0.0 and member
-
-    def test_boundary_member(self):
-        r = 0.25
-        theta = np.zeros(5)
-        theta[0] = 0.5
-        total, member = sobolev_membership(theta, SobolevSpec(k=2, r=r))
-        assert total == pytest.approx(r, abs=1e-12)
-        assert member
-
-    def test_s1_coefficients(self):
-        # S1 = 0.5 cos(2 pi x) = (0.5/sqrt2) psi_2: sum = a_2 * 0.125
-        theta = np.array([0.0, 0.5 / math.sqrt(2.0)])
-        a2 = float(sobolev_weights(np.array([2]), 2, 1.0)[0])
-        total, member = sobolev_membership(theta, SobolevSpec(k=2, r=200.0))
-        assert total == pytest.approx(a2 * 0.125, rel=1e-12)
-        assert member
-        _, outside = sobolev_membership(theta, SobolevSpec(k=2, r=total / 2))
-        assert not outside
-
-    def test_late_term_counts(self):
-        # a high-frequency term after a long run of zeros still enters the sum
-        theta = np.zeros(62)
-        theta[0], theta[61] = 1.0, 0.01
-        a62 = float(sobolev_weights(np.array([62]), 2, 1.0)[0])
-        total, member = sobolev_membership(theta, SobolevSpec(k=2, r=2.0))
-        assert total == pytest.approx(1.0 + 1e-4 * a62, rel=1e-12)
-        assert total > 1.4e5 and not member
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            SobolevSpec(k=1, r=1.0)
-        with pytest.raises(ValueError):
-            SobolevSpec(k=2, r=0.0)
-        for r in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="finite r"):
-                SobolevSpec(k=2, r=r)
 
 
 class TestEfficiencyReport:
