@@ -16,9 +16,8 @@ from .sequential import (GridPartition, RegressionSample, build_regression,
                          compute_partition, preliminary_estimate,
                          project_estimate, run_stopping_rule, sequential_estimate,
                          threshold)
-from .signals import (NoiseSpec, SignalSpec, Trajectory, evaluate_signal,
-                      generate_trajectory, replication_seed, signal_s1, signal_s2,
-                      validate_stability)
+from .signals import (NoiseSpec, SignalSpec, Trajectory, generate_trajectory,
+                      replication_seed, signal_s1, signal_s2, validate_stability)
 from .theory import EfficiencyReport, efficiency_ratio, pinsker_constant, sigma_star, upsilon
 
 __version__ = "0.1.0"

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signals import ValidationError
+
 
 def trig_fn(j, x, a=0.0, b=1.0):
     """Evaluate the j-th trigonometric basis function (1-based) at x."""
@@ -31,9 +33,9 @@ class TrigBasis:
 
     def __init__(self, a, b, d):
         if d % 2 == 0:
-            raise ValueError(f"grid size d must be odd, got {d}")
+            raise ValidationError(f"grid size d must be odd, got {d}")
         if not b > a:
-            raise ValueError("need b > a")
+            raise ValidationError("need b > a")
         self.a = float(a)
         self.b = float(b)
         self.d = int(d)
@@ -70,7 +72,7 @@ def fourier_coefficients(basis, Y, sigma2):
     Y = np.asarray(Y, dtype=float)
     sigma2 = np.asarray(sigma2, dtype=float)
     if Y.ndim not in (1, 2) or Y.shape[-1] != basis.d or sigma2.shape != Y.shape:
-        raise ValueError(f"expected vectors of length d={basis.d}, or stacks of them")
+        raise ValidationError(f"expected vectors of length d={basis.d}, or stacks of them")
     w = (basis.b - basis.a) / basis.d
     theta_hat = w * (Y @ basis.phi)
     s_jd = w * (sigma2 @ basis.phi ** 2)

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .signals import ValidationError
+
 
 @dataclass(frozen=True)
 class BetaEstimate:
@@ -50,7 +52,7 @@ def project_coefficients(S_star, a, b, i_max=None):
     if i_max is None:
         i_max = d
     if i_max < 1:
-        raise ValueError("need i_max >= 1")
+        raise ValidationError("need i_max >= 1")
     W = _cell_integrals(i_max, d, a, b)
     return BetaEstimate(coefficients=W @ S_star, i_max=i_max, a=a, b=b)
 

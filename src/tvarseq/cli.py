@@ -46,13 +46,6 @@ def _int_list(text):
     return [int(v) for v in text.split(",")]
 
 
-def _formats(text):
-    formats = text.split(",")
-    if not set(formats) <= {"csv", "json"}:
-        raise argparse.ArgumentTypeError(f"takes a comma list of csv, json; got {formats}")
-    return formats
-
-
 def ensure_out(path):
     os.makedirs(path, exist_ok=True)
     return path
@@ -95,19 +88,16 @@ def cmd_estimate(args):
         "criterion.csv": {"k": grid.k, "t": grid.t, "J": res.selection.J_values},
         "s_star.csv": {"l": one_to_d, "z_l": res.context.part.z, "S_star": res.selection.S_star},
     }
-    paths = [os.path.join(out, name) for name in tables if "csv" in args.format]
+    paths = [os.path.join(out, name) for name in (*tables, "selection.json")]
     for path, table in zip(paths, tables.values()):
         write_csv(path, run_cfg, table)
-    if "json" in args.format:
-        path = os.path.join(out, "selection.json")
-        write_json(path, run_cfg, {
-            "selected_k": res.selection.alpha_hat[0],
-            "selected_t": res.selection.alpha_hat[1],
-            "delta": res.context.delta,
-            "gamma": res.reg.gamma_all,
-            "J_min": float(res.selection.J_values[res.selection.alpha_index]),
-        })
-        paths.append(path)
+    write_json(paths[-1], run_cfg, {
+        "selected_k": res.selection.alpha_hat[0],
+        "selected_t": res.selection.alpha_hat[1],
+        "delta": res.context.delta,
+        "gamma": res.reg.gamma_all,
+        "J_min": float(res.selection.J_values[res.selection.alpha_index]),
+    })
     k, t = res.selection.alpha_hat
     print(f"selected (k, t) = ({k}, {t:.6g}); gamma={res.reg.gamma_all}")
     for path in paths:
@@ -120,14 +110,14 @@ def cmd_risk_table(args):
     names = ("gaussian", "uniform") if args.noise == "all" else (args.noise,)
     noises = [resolve_noise(name) for name in names]
     check_delta(args.delta)
-    out = ensure_out(args.out)
     signal_id = args.signal if not args.signal.startswith("series:") else "series"
     report = run_table(spec, noises, args.n, args.M, args.seed, mu0=args.mu0,
                        delta=args.delta, signal_id=signal_id)
+    out = ensure_out(args.out)
     run_cfg = {"command": "risk-table", "signal": spec.to_dict(),
                "noise": [nz.to_dict() for nz in noises], "n_list": args.n,
                "M": args.M, "seed": args.seed, "delta": args.delta, "mu0": args.mu0}
-    for p in export_report(report, run_cfg, out, args.format):
+    for p in export_report(report, run_cfg, out):
         print(p)
     return EXIT_OK
 
@@ -187,9 +177,6 @@ def build_parser():
         if noises:
             p.add_argument("--noise", default="gaussian", choices=noises)
             p.add_argument("--seed", type=int, default=0)
-        if name in ("estimate", "risk-table"):
-            p.add_argument("--format", type=_formats, default="csv,json",
-                           help="comma list of csv,json")
         if name in ("estimate", "beta", "risk-table"):
             p.add_argument("--delta", type=float)
             p.add_argument("--mu0", type=float, default=0.5)
@@ -248,7 +235,7 @@ def main(argv=None):
         return COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse has printed its message
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    except ValueError as exc:  # ValidationError and ConfigurationError among them
+    except ValueError as exc:  # ValidationError, or a file that is not JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as exc:  # an input too large for memory, e.g. numpy's allocation error

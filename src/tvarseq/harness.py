@@ -19,7 +19,7 @@ import numpy as np
 
 from . import pipeline as pl
 from .io import write_csv, write_json
-from .signals import generate_trajectory, replication_seed
+from .signals import ValidationError, generate_trajectory, replication_seed
 from .sequential import build_regression
 
 
@@ -70,10 +70,11 @@ def run_cell(spec, noise, n, M, base_seed, mu0=0.5, delta=None, signal_id=""):
 def _cell(ctx, noise, M, base_seed, signal_id, t0):
     """The M replications of one cell on its fixed inputs; wall_time counts from t0."""
     if M < 1:
-        raise ValueError("need M >= 1")
+        raise ValidationError("need M >= 1")
     n, d = ctx.part.n, ctx.part.d
+    span = ctx.spec.b - ctx.spec.a
     S_grid = pl.signal_values_on_grid(ctx.spec, ctx.part)
-    norm_n = float(ctx.S_design[1:] @ ctx.S_design[1:]) / n
+    norm_n = span * float(ctx.S_design[1:] @ ctx.S_design[1:]) / n  # ||S||_n^2 on [a, b]
 
     sq_err = np.zeros(d)
     mean_est = np.zeros(d)
@@ -102,7 +103,7 @@ def _cell(ctx, noise, M, base_seed, signal_id, t0):
             k_sum += k
             t_sum += t
 
-    rbar = float(np.mean(sq_err / M))
+    rbar = span * float(np.mean(sq_err / M))  # ||S_star - S||_d^2 on [a, b], as empirical_error
     return CellResult(signal_id=signal_id, n=n, noise_family=noise.family, M=M,
                       rbar=rbar, rbar_star=rbar / norm_n,
                       gamma_frequency=gamma_count / M,
@@ -115,9 +116,9 @@ def run_table(spec, noise_specs, n_list, M, base_seed, mu0=0.5, delta=None,
               signal_id=""):
     """One cell per (n, noise family), one context per n; robust column is the max over families."""
     if not n_list or not noise_specs:
-        raise ValueError("need nonempty n_list and noise set")
+        raise ValidationError("need nonempty n_list and noise set")
     if len(set(n_list)) != len(n_list):
-        raise ValueError(f"repeated sample size in n_list {list(n_list)}")
+        raise ValidationError(f"repeated sample size in n_list {list(n_list)}")
     cells = []
     for n in n_list:
         ctx = pl.make_context(spec, n, mu0, delta)
@@ -129,29 +130,25 @@ def run_table(spec, noise_specs, n_list, M, base_seed, mu0=0.5, delta=None,
     return RiskReport(cells=tuple(cells), base_seed=base_seed, robust=robust)
 
 
-def export_report(report, cfg, out_dir, formats=("csv", "json"), prefix="risk_table"):
-    """Emit the report as CSV/JSON plus a plot-ready grid CSV per cell.
+def export_report(report, cfg, out_dir, prefix="risk_table"):
+    """Emit the report as CSV and JSON plus a plot-ready grid CSV per cell.
 
     A row of the table is a cell's summary() plus its robust_rbar; wall_time
     stays out of both files so reruns are byte-identical.
     """
-    paths = []
-    if "csv" in formats:
-        path = os.path.join(out_dir, f"{prefix}.csv")
-        rows = [{**c.summary(), "robust_rbar": report.robust[c.n]} for c in report.cells]
-        write_csv(path, cfg, {name: [row[name] for row in rows] for name in rows[0]})
-        paths.append(path)
-        for c in report.cells:
-            cell_path = os.path.join(out_dir, f"{prefix}_{c.signal_id}_n{c.n}_{c.noise_family}.csv")
-            write_csv(cell_path, cfg, {"l": range(1, len(c.z) + 1), "z_l": c.z, "S": c.S_grid,
-                                       "mean_estimate": c.mean_estimate})
-            paths.append(cell_path)
-    if "json" in formats:
-        path = os.path.join(out_dir, f"{prefix}.json")
-        write_json(path, cfg, {
-            "base_seed": report.base_seed,
-            "robust_rbar": {str(n): v for n, v in sorted(report.robust.items())},
-            "cells": [c.summary() for c in report.cells],
-        })
-        paths.append(path)
-    return paths
+    path = os.path.join(out_dir, f"{prefix}.csv")
+    rows = [{**c.summary(), "robust_rbar": report.robust[c.n]} for c in report.cells]
+    write_csv(path, cfg, {name: [row[name] for row in rows] for name in rows[0]})
+    paths = [path]
+    for c in report.cells:
+        cell_path = os.path.join(out_dir, f"{prefix}_{c.signal_id}_n{c.n}_{c.noise_family}.csv")
+        write_csv(cell_path, cfg, {"l": range(1, len(c.z) + 1), "z_l": c.z, "S": c.S_grid,
+                                   "mean_estimate": c.mean_estimate})
+        paths.append(cell_path)
+    path = os.path.join(out_dir, f"{prefix}.json")
+    write_json(path, cfg, {
+        "base_seed": report.base_seed,
+        "robust_rbar": {str(n): v for n, v in sorted(report.robust.items())},
+        "cells": [c.summary() for c in report.cells],
+    })
+    return paths + [path]

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .sequential import ConfigurationError, grid_size
+from .sequential import grid_size
+from .signals import ValidationError
 
 DELTA_MAX = 1.0 / 12.0
 
@@ -55,7 +56,7 @@ def build_weight_grid(n, a=0.0, b=1.0):
     columns j = 1..W, W = min(d, [max omega]); the weights for j > W are 0.
     """
     if n < 100:
-        raise ConfigurationError(f"need n >= 100, got {n}")
+        raise ValidationError(f"need n >= 100, got {n}")
     ln_n = math.log(n)
     k_star = 150 + int(math.sqrt(ln_n))
     m = int(ln_n ** 2)
@@ -89,7 +90,7 @@ def build_weight_grid(n, a=0.0, b=1.0):
 def check_delta(delta):
     """Reject a penalty coefficient outside (0, 1/12]; None stands for default_delta."""
     if delta is not None and not 0.0 < delta <= DELTA_MAX + 1e-15:
-        raise ConfigurationError(f"delta must lie in (0, 1/12], got {delta}")
+        raise ValidationError(f"delta must lie in (0, 1/12], got {delta}")
 
 
 def criterion(lam, lam_sq, coeffs, delta, a, b, d):
@@ -138,7 +139,7 @@ def select(coeffs, grid, delta, basis):
     of them; a stack is selected row by row in one criterion product.
     """
     if grid.nu == 0:
-        raise ConfigurationError("empty weight grid")
+        raise ValidationError("empty weight grid")
     J = criterion(grid.lam, grid.lam_sq, coeffs, delta, grid.a, grid.b, grid.d)
     idx = np.argmin(J, axis=-1)  # first minimum = lexicographically smallest alpha
     lam_hat = np.zeros(J.shape[:-1] + (grid.d,))
@@ -163,6 +164,6 @@ def empirical_error(S_values, estimate_values, a, b, d):
     S_values = np.asarray(S_values, dtype=float)
     estimate_values = np.asarray(estimate_values, dtype=float)
     if S_values.shape != (d,) or estimate_values.shape != (d,):
-        raise ValueError(f"expected vectors of length d={d}")
+        raise ValidationError(f"expected vectors of length d={d}")
     diff = estimate_values - S_values
     return (b - a) / d * float(diff @ diff)

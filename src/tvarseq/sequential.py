@@ -18,9 +18,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-
-class ConfigurationError(ValueError):
-    """The (n, d, mu0) combination leaves no room for the two stages."""
+from .signals import ValidationError, _check_span
 
 
 @dataclass(frozen=True)
@@ -54,9 +52,10 @@ def eps_tilde(n):
 def compute_partition(n, a=0.0, b=1.0, mu0=0.5):
     """Build the z grid, the disjoint windows and the preliminary sample size."""
     if n < 100:
-        raise ConfigurationError(f"need n >= 100, got {n}")
+        raise ValidationError(f"need n >= 100, got {n}")
     if not 0.0 < mu0 < 1.0:
-        raise ConfigurationError("mu0 must be in (0, 1)")
+        raise ValidationError("mu0 must be in (0, 1)")
+    _check_span(n, a, b)
     d = grid_size(n)
     h_tilde = 1.0 / (2 * d)
     l = np.arange(1, d + 1)
@@ -67,7 +66,7 @@ def compute_partition(n, a=0.0, b=1.0, mu0=0.5):
     q_pre = int((n * h_tilde) ** mu0)
     iota = k1 + q_pre
     if np.any(iota >= k2):
-        raise ConfigurationError(
+        raise ValidationError(
             f"preliminary stage exhausts a window (q={q_pre}); n={n} too small")
     return GridPartition(n=n, a=a, b=b, d=d, mu0=mu0, h=(b - a) / (2 * d),
                          q_pre=q_pre, eps_tilde=eps_tilde(n),
@@ -96,7 +95,7 @@ def preliminary_estimate(prev, cur):
 def project_estimate(s_hat, n):
     """Clamp into [-1 + eps~, 1 - eps~] with eps~ = 1/(2 + ln n)."""
     if n < 3:
-        raise ValueError("need n >= 3")
+        raise ValidationError("need n >= 3")
     eps = eps_tilde(n)
     return np.clip(s_hat, -1.0 + eps, 1.0 - eps)
 
@@ -105,10 +104,10 @@ def threshold(s_tilde, k2, iota, n):
     """H = (1 - eps~) * (k2 - iota) / (1 - s_tilde^2)."""
     s_tilde, span = np.asarray(s_tilde), np.asarray(k2) - np.asarray(iota)
     if np.any(span <= 0):
-        raise ValueError("need k2 > iota")
+        raise ValidationError("need k2 > iota")
     eps = eps_tilde(n)
     if np.any(np.abs(s_tilde) > 1.0 - eps + 1e-12):
-        raise ValueError("s_tilde must be clamped before computing the threshold")
+        raise ValidationError("s_tilde must be clamped before computing the threshold")
     return (1.0 - eps) * span / (1.0 - s_tilde * s_tilde)
 
 
@@ -124,7 +123,7 @@ def run_stopping_rule(x, last, H):
     """
     x, last, H = np.asarray(x), np.asarray(last), np.asarray(H, dtype=float)
     if np.any(H <= 0):
-        raise ValueError("threshold must be positive")
+        raise ValidationError("threshold must be positive")
     u = x * x
     np.put_along_axis(u, last[..., None], H[..., None], axis=-1)
     mass = np.cumsum(u, axis=-1, out=u)
@@ -190,7 +189,7 @@ def build_regression(traj, part):
     event, whose probability tends to 1 only as n grows.
     """
     if traj.n != part.n:
-        raise ValueError("trajectory and partition disagree on n")
+        raise ValidationError("trajectory and partition disagree on n")
     # window l is the row y_{k1-1}..; the last window is short, so its row
     # runs past y_n into the zero padding
     w, q = int(np.max(part.k2 - part.k1)) + 2, part.q_pre

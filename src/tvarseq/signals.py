@@ -21,7 +21,9 @@ _NOISE_FAMILIES = ("gaussian_std", "uniform_unit_variance", "bounded_symmetric",
 
 
 class ValidationError(ValueError):
-    """A spec violates one of its declared invariants."""
+    """Bad input: a spec, an argument or a combination of them breaks a declared invariant.
+
+    It is the one error class the package raises on purpose."""
 
 
 def _from_dict(cls, cfg):
@@ -57,6 +59,8 @@ class SignalSpec:
             raise ValidationError("signal parameters must be finite (no NaN or inf)")
         if not self.b > self.a:
             raise ValidationError("need b > a")
+        if not math.isfinite(self.b - self.a):
+            raise ValidationError(f"interval width b - a overflows: [{self.a}, {self.b}]")
         if not 0.0 < self.stability_eps < 1.0:
             raise ValidationError("stability_eps must be in (0, 1)")
         if self.lipschitz_L <= 0:
@@ -114,26 +118,6 @@ def trig_amplitudes(spec):
     raise ValidationError("a tabulated signal has no trigonometric amplitudes")
 
 
-def evaluate_signal(spec, x):
-    """S(x) for scalar or array x inside [a, b]; a series is summed in chunks of terms."""
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < spec.a - 1e-12) or np.any(x > spec.b + 1e-12):
-        raise ValidationError(f"x outside [{spec.a}, {spec.b}]")
-    if spec.kind == "tabulated":
-        out = np.interp(x, np.linspace(spec.a, spec.b, len(spec.values)), spec.values)
-    else:
-        c0, A, B = trig_amplitudes(spec)
-        u = (x - spec.a) / (spec.b - spec.a)
-        out = np.full(x.shape, c0)
-        block = max(1, (1 << 20) // max(x.size, 1))
-        for start in range(0, len(A), block):
-            m = np.arange(start + 1, min(start + block, len(A)) + 1)
-            arg = 2.0 * np.pi * np.outer(u, m)
-            out += np.cos(arg) @ A[m - 1] + np.sin(arg) @ B[m - 1]
-    return float(out[0]) if scalar else out
-
-
 def signal_values_uniform(spec, N):
     """S at the N+1 uniform points a + (b-a)*i/N, i = 0..N.
 
@@ -142,7 +126,8 @@ def signal_values_uniform(spec, N):
     series exactly, as Re((A + iB) e^{-i theta}) = A cos(theta) + B sin(theta).
     """
     if spec.kind == "tabulated":
-        return evaluate_signal(spec, spec.a + (spec.b - spec.a) * np.arange(N + 1) / N)
+        return np.interp(spec.a + (spec.b - spec.a) * np.arange(N + 1) / N,
+                         np.linspace(spec.a, spec.b, len(spec.values)), spec.values)
     c0, A, B = trig_amplitudes(spec)
     k = np.arange(1, len(A) + 1) % N
     vals = c0 + np.fft.fft(np.bincount(k, A, N) + 1j * np.bincount(k, B, N)).real
@@ -247,6 +232,17 @@ def replication_seed(base_seed, r):
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(r,))
 
 
+def _check_span(n, a, b):
+    """Reject n points on [a, b] when 2 pi n (b-a) overflows: it bounds every product
+    that the partition, the design points and the trigonometric basis form."""
+    try:
+        finite = math.isfinite(2.0 * math.pi * n * (b - a))
+    except OverflowError:  # an int n beyond the float range
+        finite = False
+    if not finite:
+        raise ValidationError(f"n={n} points on [{a}, {b}] overflow: 2 pi n (b-a) is not finite")
+
+
 def generate_trajectory(spec, noise, n, seed, signal_values=None):
     """Simulate y_j = S(x_j) y_{j-1} + xi_j for j = 1..n from y_0 = 0.
 
@@ -256,6 +252,7 @@ def generate_trajectory(spec, noise, n, seed, signal_values=None):
     """
     if n < 10:
         raise ValidationError(f"need n >= 10, got {n}")
+    _check_span(n, spec.a, spec.b)
     if signal_values is None:
         validate_stability(spec, n)
         signal_values = signal_values_uniform(spec, n)

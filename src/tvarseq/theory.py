@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .signals import trig_amplitudes
+from .signals import ValidationError, trig_amplitudes
 
 
 def sigma_star(spec):
@@ -29,13 +29,13 @@ def sigma_star(spec):
 def check_radius(r):
     """Reject a Sobolev radius that is not a finite number > 0 (NaN included)."""
     if not 0.0 < r < math.inf:
-        raise ValueError(f"need a finite r > 0, got {r}")
+        raise ValidationError(f"need a finite r > 0, got {r}")
 
 
 def pinsker_constant(k, r):
     """Sharp asymptotic constant l_k(r) for the minimax quadratic risk."""
     if k < 1:
-        raise ValueError("need k >= 1")
+        raise ValidationError("need k >= 1")
     check_radius(r)
     return ((1.0 + 2.0 * k) * r) ** (1.0 / (2 * k + 1)) * \
         (k / (np.pi * (k + 1.0))) ** (2.0 * k / (2 * k + 1))
@@ -61,18 +61,12 @@ class EfficiencyReport:
     normalized_risk: float
     ratio: float
 
-    def to_dict(self):
-        return {"signal": self.signal_id, "k": self.k, "r": self.r, "n": self.n,
-                "sigma_star": self.sigma_star, "upsilon": self.upsilon,
-                "pinsker": self.pinsker, "rate": self.rate,
-                "normalized_risk": self.normalized_risk, "ratio": self.ratio}
-
 
 def efficiency_ratio(rbar, spec, k, r, n, signal_id=""):
     """Compare a Monte-Carlo risk to the sharp bound.
 
-    rbar is the grid-averaged risk (1/d normalization); multiplying by (b-a)
-    converts it to the ||.||_d scale before applying the rate and upsilon(S).
+    rbar is a risk in the empirical norm ||.||_d^2 on [a, b], as a cell reports
+    it; the rate and upsilon(S) normalize it.
     The ratio to l_k(r) is a diagnostic: O(1) and shrinking toward the bound
     as n grows, with no sharp finite-n target.
     """
@@ -80,7 +74,7 @@ def efficiency_ratio(rbar, spec, k, r, n, signal_id=""):
     ups = upsilon(spec, k)
     rate = float(n) ** (2.0 * k / (2 * k + 1))
     lk = pinsker_constant(k, r)
-    normalized = rate * ups * rbar * (spec.b - spec.a)
+    normalized = rate * ups * rbar
     return EfficiencyReport(signal_id=signal_id, k=k, r=r, n=n, sigma_star=ss,
                             upsilon=ups, pinsker=lk, rate=rate,
                             normalized_risk=normalized, ratio=normalized / lk)

@@ -1,10 +1,13 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import tvarseq.beta as beta_mod
 import tvarseq.cli as cli
 import tvarseq.pipeline as pl
-from tvarseq.cli import COMMANDS, EXIT_OK, EXIT_VALIDATION, main, parse_args
+from tvarseq.cli import COMMANDS, EXIT_OK, EXIT_VALIDATION, build_parser, main, parse_args
 
 
 def run(tmp_path, *argv):
@@ -84,12 +87,6 @@ class TestEstimate:
         assert run(tmp_path, "estimate", "--signal", "s1", "--n", "500",
                    "--delta", "0.2") == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("formats", ["xml", "csv,xml"])
-    def test_format_rejected(self, tmp_path, formats):
-        assert run(tmp_path, "estimate", "--signal", "s1", "--n", "500",
-                   "--format", formats) == EXIT_VALIDATION
-        assert list(tmp_path.iterdir()) == []
-
     def test_unknown_spec_key_rejected(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "series", "coefficients": [0.0, 0.3],
@@ -123,11 +120,6 @@ class TestRiskTable:
                 == (tmp_path / "b" / "risk_table.csv").read_bytes())
         assert ((tmp_path / "a" / "risk_table.json").read_bytes()
                 == (tmp_path / "b" / "risk_table.json").read_bytes())
-
-    def test_format_rejected(self, tmp_path):
-        assert run(tmp_path, "risk-table", "--signal", "s1", "--n", "200", "--M", "2",
-                   "--format", "csv,xml") == EXIT_VALIDATION
-        assert list(tmp_path.iterdir()) == []
 
     def test_repeated_n_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "risk-table", "--signal", "s1", "--n", "200,500,200",
@@ -217,6 +209,49 @@ class TestUnstableSignal:
         assert not out.exists()
 
 
+# sup|S| is tiny on these intervals, so S passes the stability check; the
+# interval alone is too wide for the arithmetic of the grids
+WIDE = {"kind": "series", "a": -1e308, "b": 1e308, "coefficients": [0.0, 0.3],
+        "stability_eps": 0.3, "lipschitz_L": 10.0}
+FAR = {**WIDE, "a": 1e300}
+FAR_TABULATED = {"kind": "tabulated", "a": 1e300, "b": 1e308, "values": [0.1, 0.2],
+                 "stability_eps": 0.3, "lipschitz_L": 10.0}
+UNIT = {**WIDE, "a": 0.0, "b": 1.0}
+BEYOND_FLOAT = str(10 ** 400)  # an n that no float holds
+
+
+class TestIntervalOverflow:
+    """An interval whose width, or 2 pi n (b-a), overflows is a validation error,
+    and so is an n too large for a float."""
+
+    @pytest.mark.parametrize("spec, argv, named", [
+        (WIDE, ["estimate", "--n", "500"], "b - a"),
+        (WIDE, ["pinsker", "--k", "2", "--r", "1"], "b - a"),
+        (FAR, ["estimate", "--n", "500"], "2 pi n"),
+        (FAR, ["risk-table", "--n", "200", "--M", "2"], "2 pi n"),
+        (FAR, ["simulate"], "2 pi n"),
+        (FAR, ["beta", "--n", "500"], "2 pi n"),
+        (FAR_TABULATED, ["estimate", "--n", "500"], "2 pi n"),
+        (FAR_TABULATED, ["simulate"], "2 pi n"),
+        (UNIT, ["estimate", "--n", BEYOND_FLOAT], "2 pi n"),
+        (UNIT, ["simulate", "--n", BEYOND_FLOAT], "2 pi n"),
+    ], ids=["wide-estimate", "wide-pinsker", "far-estimate", "far-risk-table",
+            "far-simulate", "far-beta", "far-tabulated-estimate", "far-tabulated-simulate",
+            "huge-n-estimate", "huge-n-simulate"])
+    def test_exit_2(self, tmp_path, capsys, spec, argv, named):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([*argv, "--signal", f"series:{path}", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and named in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestOutOfMemory:
     """An input too large for memory is a validation error, and nothing is written."""
 
@@ -292,6 +327,20 @@ class TestConfigFile:
         for name in ("seq_points.csv", "selection.json"):
             assert ((tmp_path / "config" / name).read_bytes()
                     == (tmp_path / "flags" / name).read_bytes())
+
+
+def test_readme_option_table_matches_parser():
+    """Each row of README's command table names exactly its parser's options."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", fh.read(), flags=re.M)
+    documented = {command: set(re.findall(r"--[A-Za-z0-9-]+", options))
+                  for command, options in rows}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {command: {flag for action in p._actions for flag in action.option_strings
+                        if flag.startswith("--")} - {"--help"}
+              for command, p in sub.choices.items()}
+    assert documented == parsed
 
 
 NUMERIC_KEYS = {"n", "seed", "delta", "mu0", "M", "k", "r", "i_max"}

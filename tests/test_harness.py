@@ -10,6 +10,7 @@ import tvarseq.pipeline as pl
 from tvarseq import harness, signals
 from tvarseq.harness import export_report, run_cell, run_table
 from tvarseq.io import config_hash
+from tvarseq.selection import empirical_error
 from tvarseq.signals import SignalSpec
 
 
@@ -48,7 +49,7 @@ class TestRunTable:
 
     def test_layout(self, small_report, tmp_path):
         assert len(small_report.cells) == 4
-        export_report(small_report, {}, str(tmp_path), formats=("csv",))
+        export_report(small_report, {}, str(tmp_path))
         header, *rows = (tmp_path / "risk_table.csv").read_text().splitlines()[1:]
         assert header == "signal,n,noise,M,rbar,rbar_star,gamma_frequency,mean_k,mean_t,robust_rbar"
         assert len(rows) == 4
@@ -126,6 +127,21 @@ class TestContext:
         z = res.context.part.z
         assert np.all((z > 1.0) & (z <= 3.0)) and z[-1] == 3.0
         assert res.context.basis.a == res.context.grid.a == 1.0
+
+    def test_cell_risk_is_the_empirical_norm(self, gaussian):
+        # rbar is ||S_star - S||_d^2 on [a, b], the mean of empirical_error over replications
+        M, seed = 6, 3
+        cell = run_cell(self.SERIES, gaussian, 500, M, base_seed=seed)
+        ctx = pl.make_context(self.SERIES, 500)
+        S_grid = pl.signal_values_on_grid(self.SERIES, ctx.part)
+        errors = [empirical_error(S_grid, pl.estimate_signal(
+                      ctx, gaussian, signals.replication_seed(seed, r)).selection.S_star,
+                      1.0, 3.0, ctx.part.d)
+                  for r in range(1, M + 1)]
+        assert cell.rbar == pytest.approx(np.mean(errors), rel=1e-12, abs=0.0)
+        # rbar_star divides by ||S||_n^2, the same norm on the n design points
+        norm_n = empirical_error(np.zeros(500), ctx.S_design[1:], 1.0, 3.0, 500)
+        assert cell.rbar_star == pytest.approx(cell.rbar / norm_n, rel=1e-12, abs=0.0)
 
     def test_cell_on_the_spec_interval(self, gaussian):
         c = run_cell(self.SERIES, gaussian, 500, 2, base_seed=3)

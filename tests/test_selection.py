@@ -7,7 +7,6 @@ import pytest
 
 from tvarseq.basis import FourierCoeffs, TrigBasis, fourier_coefficients
 from tvarseq.selection import (
-    ConfigurationError,
     build_weight_grid,
     criterion,
     default_delta,
@@ -15,6 +14,7 @@ from tvarseq.selection import (
     select,
     weighted_estimate_values,
 )
+from tvarseq.signals import ValidationError
 
 
 class TestWeightGrid:
@@ -137,7 +137,7 @@ class TestPenaltyAndCriterion:
     def test_delta_validation(self):
         c = self.coeffs(np.ones(3), np.zeros(3))
         for bad in (0.0, -0.1, 0.2, 1.0 / 12 + 1e-9):
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(ValidationError):
                 criterion(np.ones(3), np.ones(3), c, bad, 0.0, 1.0, 3)
 
     def test_default_delta(self):
@@ -220,5 +220,13 @@ class TestEmpiricalError:
 
 def test_shared_definitions():
     from tvarseq import sequential
-    assert ConfigurationError is sequential.ConfigurationError
+    # bad input raises the one validation error class, in every module
+    for bad_input in (lambda: sequential.compute_partition(50),
+                      lambda: sequential.compute_partition(200, mu0=1.5),
+                      lambda: build_weight_grid(50),
+                      lambda: criterion(np.ones(3), np.ones(3), None, 0.2, 0.0, 1.0, 3)):
+        with pytest.raises(ValidationError) as info:
+            bad_input()
+        assert type(info.value) is ValidationError
+    assert not hasattr(sequential, "ConfigurationError")
     assert build_weight_grid(10000).d == sequential.grid_size(10000)

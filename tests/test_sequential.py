@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from tvarseq.sequential import (
-    ConfigurationError,
     build_regression,
     compute_partition,
     grid_size,
@@ -17,7 +16,7 @@ from tvarseq.sequential import (
     sequential_estimate,
     threshold,
 )
-from tvarseq.signals import generate_trajectory, replication_seed
+from tvarseq.signals import ValidationError, generate_trajectory, replication_seed
 
 
 class TestPartition:
@@ -52,11 +51,11 @@ class TestPartition:
             np.testing.assert_array_equal(part.k1[1:], part.k2[:-1] + 1)
 
     def test_small_n_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             compute_partition(50)
 
     def test_bad_mu0_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             compute_partition(200, mu0=1.5)
 
 

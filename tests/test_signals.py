@@ -15,10 +15,10 @@ from tvarseq.signals import (
     NoiseSpec,
     SignalSpec,
     ValidationError,
-    evaluate_signal,
     generate_trajectory,
     replication_seed,
     signal_values_uniform,
+    trig_amplitudes,
     validate_stability,
 )
 
@@ -34,31 +34,51 @@ def const_signal(c):
                       lipschitz_L=1.0)
 
 
+def scattered_series(spec, x):
+    """Reference for the FFT fold: S at scattered points x of [a, b], with the
+    trigonometric series summed term by term, in chunks of terms."""
+    x = np.asarray(x, dtype=float)
+    c0, A, B = trig_amplitudes(spec)
+    u = (x - spec.a) / (spec.b - spec.a)
+    out = np.full(x.shape, c0)
+    block = max(1, (1 << 20) // max(x.size, 1))
+    for start in range(0, len(A), block):
+        m = np.arange(start + 1, min(start + block, len(A)) + 1)
+        arg = 2.0 * np.pi * np.outer(u, m)
+        out += np.cos(arg) @ A[m - 1] + np.sin(arg) @ B[m - 1]
+    return out
+
+
 class TestEvaluateSignal:
+    """S at chosen points, read off the uniform grid a + (b-a) i/N that holds them."""
+
     def test_s1_at_zero(self, s1):
-        assert evaluate_signal(s1, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert signal_values_uniform(s1, 4)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_s1_at_quarter(self, s1):
-        assert evaluate_signal(s1, 0.25) == pytest.approx(0.0, abs=1e-15)
+        assert signal_values_uniform(s1, 4)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_s2_at_zero(self, s2):
-        assert evaluate_signal(s2, 0.0) == pytest.approx(S2_AT_ZERO, abs=1e-10)
+        assert signal_values_uniform(s2, 8)[0] == pytest.approx(S2_AT_ZERO, abs=1e-10)
 
     def test_s2_uniform_grid_matches_scattered(self, s2):
         # the folded evaluation on uniform grids must agree with direct summation
         vals = signal_values_uniform(s2, 8)
-        for i in (0, 3, 8):
-            assert vals[i] == pytest.approx(evaluate_signal(s2, i / 8), abs=1e-9)
+        np.testing.assert_allclose(vals[[0, 3, 8]], scattered_series(s2, [0.0, 3 / 8, 1.0]),
+                                   rtol=0, atol=1e-9)
 
     def test_series_kind(self):
         spec = SignalSpec(kind="series", coefficients=(0.0, 0.3), stability_eps=0.4,
                           lipschitz_L=10.0)
         # 0.3 * psi_2(x) = 0.3*sqrt(2)*cos(2*pi*x)
-        assert evaluate_signal(spec, 0.0) == pytest.approx(0.3 * math.sqrt(2), abs=1e-12)
+        assert signal_values_uniform(spec, 4)[0] == pytest.approx(0.3 * math.sqrt(2), abs=1e-12)
 
-    def test_domain_error(self, s1):
-        with pytest.raises((ValidationError, ValueError)):
-            evaluate_signal(s1, 1.5)
+    def test_tabulated_interpolates(self):
+        spec = SignalSpec(kind="tabulated", a=1.0, b=3.0, values=(0.1, -0.3, 0.2),
+                          stability_eps=0.25)
+        # knots at 1, 2, 3; the grid 1 + i/2 adds the midpoints
+        np.testing.assert_allclose(signal_values_uniform(spec, 4), [0.1, -0.1, -0.3, -0.05, 0.2],
+                                   rtol=0, atol=1e-15)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValidationError):
@@ -221,7 +241,7 @@ class TestSeriesEngine:
         spec = random_series(np.random.default_rng(3))
         N = 16
         x = spec.a + (spec.b - spec.a) * np.arange(N + 1) / N
-        np.testing.assert_allclose(signal_values_uniform(spec, N), evaluate_signal(spec, x),
+        np.testing.assert_allclose(signal_values_uniform(spec, N), scattered_series(spec, x),
                                    rtol=0, atol=1e-13)
 
     def test_s1_fold_is_the_cosine(self, s1):
@@ -235,7 +255,7 @@ class TestSeriesEngine:
         x = np.linspace(spec.a, spec.b, 7)
         expected = sum(beta * tv.trig_fn(i, x, spec.a, spec.b)
                        for i, beta in enumerate(spec.coefficients, start=1))
-        np.testing.assert_allclose(evaluate_signal(spec, x), expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(scattered_series(spec, x), expected, rtol=0, atol=1e-15)
 
 
 def peaked_between_grid_points():

@@ -103,15 +103,16 @@ class TestEfficiencyReport:
     def test_exact_efficiency_is_one(self, s1):
         k, r, n = 2, 1.0, 70000
         rate = n ** (2.0 * k / (2 * k + 1))
-        ups = upsilon(s1, k)
-        # a hypothetical estimator meeting the bound exactly
-        rbar = pinsker_constant(k, r) / (rate * ups)
-        rep = efficiency_ratio(rbar, s1, k, r, n, signal_id="s1")
-        assert rep.ratio == pytest.approx(1.0, abs=1e-10)
+        # rbar is already in ||.||_d^2 on [a, b], so off [0, 1] it is not rescaled
+        for spec in (s1, SignalSpec(kind="series", a=1.0, b=3.0, coefficients=(0.0, 0.3))):
+            ups = upsilon(spec, k)
+            # a hypothetical estimator meeting the bound exactly
+            rbar = pinsker_constant(k, r) / (rate * ups)
+            rep = efficiency_ratio(rbar, spec, k, r, n)
+            assert rep.ratio == pytest.approx(1.0, abs=1e-10)
 
     def test_report_fields(self, s1):
         rep = efficiency_ratio(0.05, s1, 2, 1.0, 10000, signal_id="s1")
-        d = rep.to_dict()
-        assert d["sigma_star"] == pytest.approx(0.875, abs=1e-6)
+        assert rep.sigma_star == pytest.approx(0.875, abs=1e-6)
         assert rep.normalized_risk > 0
         assert math.isfinite(rep.ratio)
