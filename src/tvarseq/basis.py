@@ -40,7 +40,6 @@ class TrigBasis:
         self.b = float(b)
         self.d = int(d)
         offset = (b - a) * np.arange(1, d + 1) / d
-        self.z = a + offset
         # phi[l-1, j-1] = phi_j(z_l); reused by every coefficient estimate.  It is
         # evaluated at z_l - a = offset, since recomputing z_l - a from z_l
         # cancels digits when |a| >> b - a and breaks the exact orthonormality

@@ -15,7 +15,6 @@ from . import pipeline as pl
 from . import theory
 from .harness import export_report, run_table
 from .io import write_csv, write_json
-from .selection import check_delta
 from .signals import (NoiseSpec, SignalSpec, ValidationError, generate_trajectory,
                       signal_s1, signal_s2, validate_stability)
 
@@ -67,12 +66,9 @@ def cmd_simulate(args):
 def _run_estimate(args):
     spec = resolve_signal(args.signal)
     noise = resolve_noise(args.noise)
-    check_delta(args.delta)
-    ctx = pl.make_context(spec, args.n, args.mu0, args.delta)
-    res = pl.estimate_signal(ctx, noise, args.seed)
+    res = pl.estimate_signal(pl.make_context(spec, args.n), noise, args.seed)
     run_cfg = {"command": args.command, "signal": spec.to_dict(),
-               "noise": noise.to_dict(), "n": args.n, "seed": args.seed,
-               "delta": res.context.delta, "mu0": args.mu0}
+               "noise": noise.to_dict(), "n": args.n, "seed": args.seed}
     return spec, res, run_cfg
 
 
@@ -109,14 +105,12 @@ def cmd_risk_table(args):
     spec = resolve_signal(args.signal)
     names = ("gaussian", "uniform") if args.noise == "all" else (args.noise,)
     noises = [resolve_noise(name) for name in names]
-    check_delta(args.delta)
     signal_id = args.signal if not args.signal.startswith("series:") else "series"
-    report = run_table(spec, noises, args.n, args.M, args.seed, mu0=args.mu0,
-                       delta=args.delta, signal_id=signal_id)
+    report = run_table(spec, noises, args.n, args.M, args.seed, signal_id=signal_id)
     out = ensure_out(args.out)
     run_cfg = {"command": "risk-table", "signal": spec.to_dict(),
                "noise": [nz.to_dict() for nz in noises], "n_list": args.n,
-               "M": args.M, "seed": args.seed, "delta": args.delta, "mu0": args.mu0}
+               "M": args.M, "seed": args.seed}
     for p in export_report(report, run_cfg, out):
         print(p)
     return EXIT_OK
@@ -126,23 +120,23 @@ def cmd_pinsker(args):
     k, r = args.k, args.r
     if k is None or r is None:
         raise ValidationError("pinsker requires --k and --r")
+    # everything is computed before anything is printed or written
+    run_cfg = {"command": "pinsker", "k": k, "r": r}
+    payload = {"k": k, "r": r, "pinsker_constant": theory.pinsker_constant(k, r)}
+    lines = [f"l_{k}({r:g}) = {payload['pinsker_constant']:.6f}"]
     if args.signal is not None:
         spec = resolve_signal(args.signal)
         validate_stability(spec, 0)  # the certificate covers all of [a, b], so every n
-    lk = theory.pinsker_constant(k, r)
-    payload = {"k": k, "r": r, "pinsker_constant": lk}
-    print(f"l_{k}({r:g}) = {lk:.6f}")
-    if args.signal is not None:
-        ss = theory.sigma_star(spec)
-        ups = theory.upsilon(spec, k)
-        payload.update({"signal": args.signal, "sigma_star": ss, "upsilon": ups})
-        print(f"sigma_star = {ss:.6f}")
-        print(f"upsilon = {ups:.6f}")
+        run_cfg["signal"] = spec.to_dict()
+        payload.update({"signal": args.signal, "sigma_star": theory.sigma_star(spec),
+                        "upsilon": theory.upsilon(spec, k)})
+        lines += [f"{name} = {payload[name]:.6f}" for name in ("sigma_star", "upsilon")]
     if args.out is not None:
         ensure_out(args.out)
         path = os.path.join(args.out, "pinsker.json")
-        write_json(path, {"command": "pinsker", **payload}, payload)
-        print(path)
+        write_json(path, run_cfg, payload)
+        lines.append(path)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -150,6 +144,7 @@ def cmd_beta(args):
     spec, res, run_cfg = _run_estimate(args)
     i_max = res.context.part.d if args.i_max is None else args.i_max
     est = beta_mod.project_coefficients(res.selection.S_star, spec.a, spec.b, i_max)
+    run_cfg["i_max"] = args.i_max  # as given: None stands for d
     out = ensure_out(args.out)
     path = os.path.join(out, "beta.csv")
     write_csv(path, run_cfg, {"i": range(1, i_max + 1), "beta_hat_i": est.coefficients})
@@ -177,9 +172,6 @@ def build_parser():
         if noises:
             p.add_argument("--noise", default="gaussian", choices=noises)
             p.add_argument("--seed", type=int, default=0)
-        if name in ("estimate", "beta", "risk-table"):
-            p.add_argument("--delta", type=float)
-            p.add_argument("--mu0", type=float, default=0.5)
         return p
 
     add("simulate", help="write one trajectory CSV").add_argument("--n", type=int, default=200)

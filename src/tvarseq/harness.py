@@ -61,10 +61,10 @@ class RiskReport:
 CHUNK_VALUES = 2 ** 20
 
 
-def run_cell(spec, noise, n, M, base_seed, mu0=0.5, delta=None, signal_id=""):
+def run_cell(spec, noise, n, M, base_seed, signal_id=""):
     """Monte-Carlo risk for one cell: R_bar, R_bar_star, Gamma frequency."""
     t0 = time.perf_counter()
-    return _cell(pl.make_context(spec, n, mu0, delta), noise, M, base_seed, signal_id, t0)
+    return _cell(pl.make_context(spec, n), noise, M, base_seed, signal_id, t0)
 
 
 def _cell(ctx, noise, M, base_seed, signal_id, t0):
@@ -112,8 +112,7 @@ def _cell(ctx, noise, M, base_seed, signal_id, t0):
                       z=ctx.part.z, S_grid=S_grid, mean_estimate=mean_est / M)
 
 
-def run_table(spec, noise_specs, n_list, M, base_seed, mu0=0.5, delta=None,
-              signal_id=""):
+def run_table(spec, noise_specs, n_list, M, base_seed, signal_id=""):
     """One cell per (n, noise family), one context per n; robust column is the max over families."""
     if not n_list or not noise_specs:
         raise ValidationError("need nonempty n_list and noise set")
@@ -121,7 +120,7 @@ def run_table(spec, noise_specs, n_list, M, base_seed, mu0=0.5, delta=None,
         raise ValidationError(f"repeated sample size in n_list {list(n_list)}")
     cells = []
     for n in n_list:
-        ctx = pl.make_context(spec, n, mu0, delta)
+        ctx = pl.make_context(spec, n)
         for noise in noise_specs:
             cells.append(_cell(ctx, noise, M, base_seed, signal_id, time.perf_counter()))
     robust = {}

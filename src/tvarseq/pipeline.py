@@ -13,7 +13,7 @@ from .signals import SignalSpec, generate_trajectory, signal_values_uniform, val
 @dataclass(frozen=True)
 class PipelineContext:
     """A cell's fixed inputs: the signal, S(x_j) for j = 0..n, and what depends only
-    on (n, a, b, mu0, delta).  Only the noise draw changes across replications."""
+    on (n, a, b).  Only the noise draw changes across replications."""
 
     spec: SignalSpec
     S_design: np.ndarray = field(repr=False)
@@ -23,15 +23,15 @@ class PipelineContext:
     delta: float
 
 
-def make_context(spec, n, mu0=0.5, delta=None):
-    """Everything a cell reuses; S must pass the stability check."""
-    part = seq.compute_partition(n, spec.a, spec.b, mu0)
+def make_context(spec, n):
+    """Everything a cell reuses, with the penalty delta_n of default_delta;
+    S must pass the stability check."""
+    part = seq.compute_partition(n, spec.a, spec.b)
     basis = fb.TrigBasis(spec.a, spec.b, part.d)
     grid = sel.build_weight_grid(n, spec.a, spec.b)
     validate_stability(spec, n)
     return PipelineContext(spec=spec, S_design=signal_values_uniform(spec, n), part=part,
-                           basis=basis, grid=grid,
-                           delta=sel.default_delta(n) if delta is None else delta)
+                           basis=basis, grid=grid, delta=sel.default_delta(n))
 
 
 @dataclass(frozen=True)

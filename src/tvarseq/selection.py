@@ -28,12 +28,6 @@ def default_delta(n):
 class WeightGrid:
     """Shrinkage profiles lambda_alpha for alpha on {1..k_star} x {eps..m*eps}."""
 
-    a: float
-    b: float
-    d: int
-    k_star: int
-    m: int
-    eps: float
     k: np.ndarray = field(repr=False)        # per alpha; k outer, t inner
     t: np.ndarray = field(repr=False)        # per alpha
     lam: np.ndarray = field(repr=False)      # shape (nu, W): columns j = 1..W
@@ -81,16 +75,9 @@ def build_weight_grid(n, a=0.0, b=1.0):
     np.copyto(lam, 1.0, where=j < j_star[:, :, None])
     lam = lam.reshape(k_star * m, width)
 
-    return WeightGrid(a=a, b=b, d=d, k_star=k_star, m=m, eps=eps,
-                      k=np.repeat(np.arange(1, k_star + 1), m), t=np.tile(t[0], k_star),
+    return WeightGrid(k=np.repeat(np.arange(1, k_star + 1), m), t=np.tile(t[0], k_star),
                       lam=lam, lam_sq=lam * lam,
                       j_star=j_star.reshape(-1), omega=omega.reshape(-1))
-
-
-def check_delta(delta):
-    """Reject a penalty coefficient outside (0, 1/12]; None stands for default_delta."""
-    if delta is not None and not 0.0 < delta <= DELTA_MAX + 1e-15:
-        raise ValidationError(f"delta must lie in (0, 1/12], got {delta}")
 
 
 def criterion(lam, lam_sq, coeffs, delta, a, b, d):
@@ -104,7 +91,8 @@ def criterion(lam, lam_sq, coeffs, delta, a, b, d):
     weight vector or a (nu, W) stack of them, and coeffs one sample or a stack
     of samples along leading axes: J then holds one row of nu values per sample.
     """
-    check_delta(delta)
+    if not 0.0 < delta <= DELTA_MAX + 1e-15:
+        raise ValidationError(f"delta must lie in (0, 1/12], got {delta}")
     width = np.shape(lam)[-1]
     th2 = coeffs.theta_hat[..., :width] ** 2
     ws = (b - a) / d * coeffs.s_jd[..., :width]
@@ -140,9 +128,9 @@ def select(coeffs, grid, delta, basis):
     """
     if grid.nu == 0:
         raise ValidationError("empty weight grid")
-    J = criterion(grid.lam, grid.lam_sq, coeffs, delta, grid.a, grid.b, grid.d)
+    J = criterion(grid.lam, grid.lam_sq, coeffs, delta, basis.a, basis.b, basis.d)
     idx = np.argmin(J, axis=-1)  # first minimum = lexicographically smallest alpha
-    lam_hat = np.zeros(J.shape[:-1] + (grid.d,))
+    lam_hat = np.zeros(J.shape[:-1] + (basis.d,))
     lam_hat[..., :grid.lam.shape[1]] = grid.lam[idx]
     k, t = grid.k[idx].tolist(), grid.t[idx].tolist()  # Python scalars for the JSON
     if idx.ndim == 0:

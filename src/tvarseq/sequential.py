@@ -26,17 +26,17 @@ class GridPartition:
     """Estimation grid and per-point observation windows (1-based indices)."""
 
     n: int
-    a: float
-    b: float
     d: int
-    mu0: float
-    h: float
     q_pre: int
-    eps_tilde: float
     z: np.ndarray = field(repr=False)
     k1: np.ndarray = field(repr=False)
     k2: np.ndarray = field(repr=False)
     iota: np.ndarray = field(repr=False)
+
+
+# the procedure's first-stage exponent: each window's preliminary estimate
+# reads q = [(n h~)^MU0] observations
+MU0 = 0.5
 
 
 def grid_size(n):
@@ -49,12 +49,10 @@ def eps_tilde(n):
     return 1.0 / (2.0 + math.log(n))
 
 
-def compute_partition(n, a=0.0, b=1.0, mu0=0.5):
+def compute_partition(n, a=0.0, b=1.0):
     """Build the z grid, the disjoint windows and the preliminary sample size."""
     if n < 100:
         raise ValidationError(f"need n >= 100, got {n}")
-    if not 0.0 < mu0 < 1.0:
-        raise ValidationError("mu0 must be in (0, 1)")
     _check_span(n, a, b)
     d = grid_size(n)
     h_tilde = 1.0 / (2 * d)
@@ -63,14 +61,12 @@ def compute_partition(n, a=0.0, b=1.0, mu0=0.5):
     # [n l/d -+ n h~] in exact integers, so that window l+1 starts right after window l
     k1 = n * (2 * l - 1) // (2 * d) + 1
     k2 = np.minimum(n * (2 * l + 1) // (2 * d), n)
-    q_pre = int((n * h_tilde) ** mu0)
+    q_pre = int((n * h_tilde) ** MU0)
     iota = k1 + q_pre
     if np.any(iota >= k2):
         raise ValidationError(
             f"preliminary stage exhausts a window (q={q_pre}); n={n} too small")
-    return GridPartition(n=n, a=a, b=b, d=d, mu0=mu0, h=(b - a) / (2 * d),
-                         q_pre=q_pre, eps_tilde=eps_tilde(n),
-                         z=z, k1=k1, k2=k2, iota=iota)
+    return GridPartition(n=n, d=d, q_pre=q_pre, z=z, k1=k1, k2=k2, iota=iota)
 
 
 def _at(rows, k):

@@ -36,14 +36,23 @@ def pinsker_constant(k, r):
     """Sharp asymptotic constant l_k(r) for the minimax quadratic risk."""
     if k < 1:
         raise ValidationError("need k >= 1")
+    try:  # pi (2k+1) bounds every product the formula forms
+        finite = math.isfinite(np.pi * (2.0 * k + 1.0))
+    except OverflowError:  # an int k beyond the float range
+        finite = False
+    if not finite:
+        raise ValidationError("k is too large: pi (2k+1) overflows")
     check_radius(r)
-    return ((1.0 + 2.0 * k) * r) ** (1.0 / (2 * k + 1)) * \
-        (k / (np.pi * (k + 1.0))) ** (2.0 * k / (2 * k + 1))
+    e = 1.0 / (2 * k + 1)  # the power of each factor apart, so that (1+2k) r cannot overflow
+    return (1.0 + 2.0 * k) ** e * r ** e * (k / (np.pi * (k + 1.0))) ** (2.0 * k / (2 * k + 1))
 
 
 def upsilon(spec, k):
     """Risk normalizer ((b-a) * sigma_star(S))^{-2k/(2k+1)}."""
-    return ((spec.b - spec.a) * sigma_star(spec)) ** (-2.0 * k / (2 * k + 1))
+    scale = float(spec.b - spec.a) * float(sigma_star(spec))  # Python floats: inf, not a warning
+    if not math.isfinite(scale):
+        raise ValidationError(f"(b - a) sigma_star(S) overflows on [{spec.a}, {spec.b}]")
+    return scale ** (-2.0 * k / (2 * k + 1))
 
 
 @dataclass(frozen=True)

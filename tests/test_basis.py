@@ -25,10 +25,11 @@ class TestBasisEval:
         assert trig_fn(2, 1.0, 1.0, 3.0) == pytest.approx(1.0, abs=1e-14)  # sqrt(2/2)*cos 0
 
     def test_trig_fn_matches_basis(self):
-        # the cached grid values are trig_fn at z_l
+        # the cached grid values are trig_fn at z_l = a + l (b-a)/d
         basis = TrigBasis(1.0, 3.0, 15)
+        z = 1.0 + 2.0 * np.arange(1, 16) / 15
         for j in (1, 2, 3, 8, 15):
-            np.testing.assert_allclose(basis.phi[:, j - 1], trig_fn(j, basis.z, 1.0, 3.0),
+            np.testing.assert_allclose(basis.phi[:, j - 1], trig_fn(j, z, 1.0, 3.0),
                                        atol=1e-14)
 
 

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -82,10 +83,6 @@ class TestEstimate:
         S = signal_values_uniform(signal_s1(), len(rows))[1:]  # S(z_l) = S(l/d)
         assert [float(r[2]) for r in rows] == S.tolist()
         assert all(r[5] == "1" for r in rows)
-
-    def test_delta_rejected(self, tmp_path, capsys):
-        assert run(tmp_path, "estimate", "--signal", "s1", "--n", "500",
-                   "--delta", "0.2") == EXIT_VALIDATION
 
     def test_unknown_spec_key_rejected(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -169,6 +166,8 @@ class TestOptions:
         (["simulate", "--format", "json"], "--format"),
         (["beta", "--format", "csv"], "--format"),
         (["risk-table", "--noise", "none"], "--noise"),
+        (["estimate", "--delta", "0.05"], "--delta"),  # the procedure sets delta_n and mu0
+        (["estimate", "--mu0", "0.4"], "--mu0"),
     ])
     def test_option_rejected(self, tmp_path, capsys, argv, named):
         assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
@@ -252,6 +251,35 @@ class TestIntervalOverflow:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("spec, argv, expected", [
+    (None, ["--r", "1e308"], EXIT_OK),  # (1+2k) r overflows; each factor's power does not
+    (None, ["--k", BEYOND_FLOAT], EXIT_VALIDATION),
+    (FAR, ["--signal"], EXIT_VALIDATION),  # (b - a) sigma_star overflows
+    (FAR_TABULATED, ["--signal"], EXIT_VALIDATION),
+], ids=["huge-r", "huge-k", "far-series", "far-tabulated"])
+def test_pinsker_outside_inputs(tmp_path, capsys, spec, argv, expected):
+    """A finite constant or exit 2, never inf, 0 or a traceback; a rejected
+    command prints no result and writes nothing."""
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = [*argv, f"series:{path}"]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["pinsker", "--k", "2", "--r", "1", *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == expected
+    if expected == EXIT_OK:
+        lk = json.loads((out / "pinsker.json").read_text())["pinsker_constant"]
+        # l_2(r) = (5 r)^(1/5) (2/(3 pi))^(4/5), the first factor taken through logs
+        assert lk == pytest.approx(math.exp((math.log(5) + math.log(1e308)) / 5)
+                                   * (2 / (3 * math.pi)) ** 0.8)
+    else:
+        assert captured.err.startswith("error:") and captured.out == ""
+        assert not out.exists()
+
+
 class TestOutOfMemory:
     """An input too large for memory is a validation error, and nothing is written."""
 
@@ -302,7 +330,7 @@ class TestConfigFile:
         ({"n": [500]}, "'n'"),
         ({"seed": None}, "'seed'"),
         ({"signal": 5}, "signal"),
-        ({"delta": "abc"}, "--delta"),
+        ({"n": "abc"}, "--n"),
         ({"debug_noiseless": True}, "'debug_noiseless'"),  # a retired switch
         ({"seeds": 3}, "'seeds'"),
         ([1, 2], "JSON object"),
@@ -315,8 +343,9 @@ class TestConfigFile:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("cfg, flags", [
-        ({"delta": "0.05", "n": "500", "seed": 7}, ["--delta", "0.05", "--n", "500", "--seed", "7"]),
-        ({"noise": "none", "mu0": 0.4}, ["--noise", "none", "--mu0", "0.4"]),
+        ({"noise": "uniform", "n": "500", "seed": 7},
+         ["--noise", "uniform", "--n", "500", "--seed", "7"]),
+        ({"noise": "none", "n": 600}, ["--noise", "none", "--n", "600"]),
     ])
     def test_values_read_as_their_flag(self, tmp_path, cfg, flags):
         path = tmp_path / "cfg.json"
@@ -343,7 +372,7 @@ def test_readme_option_table_matches_parser():
     assert documented == parsed
 
 
-NUMERIC_KEYS = {"n", "seed", "delta", "mu0", "M", "k", "r", "i_max"}
+NUMERIC_KEYS = {"n", "seed", "M", "k", "r", "i_max"}
 # no digits, and none of the letters of "nan", "inf" or an exponent
 NOT_A_NUMBER = st.text(alphabet="abcdghjklmopqrsuvwxyz ,;:!?-_", max_size=8)
 
@@ -385,3 +414,39 @@ def test_malformed_config_exits_2(case):
         assert code == EXIT_VALIDATION, (command, cfg)
         assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()
         assert not os.path.exists(out)
+
+
+def _config_hashes(out):
+    """The config_hash of every artifact under out, by file name."""
+    hashes = {}
+    for path in out.iterdir():
+        text = path.read_text()
+        hashes[path.name] = (json.loads(text)["config_hash"] if path.suffix == ".json"
+                             else text.split("\n", 1)[0].removeprefix("# config_hash="))
+    return hashes
+
+
+# per command: a base command line, and a second value for each of its options
+HASH_CASES = {
+    "simulate": (["--n", "150"], {"signal": "s2", "noise": "uniform", "seed": "1", "n": "160"}),
+    "estimate": (["--n", "500"], {"signal": "s2", "noise": "uniform", "seed": "1", "n": "600"}),
+    "beta": (["--n", "500"], {"signal": "s2", "noise": "uniform", "seed": "1", "n": "600",
+                              "i_max": "5"}),
+    "risk-table": (["--n", "200", "--M", "2"], {"signal": "s2", "noise": "uniform", "seed": "1",
+                                                "n": "300", "M": "3"}),
+    "pinsker": (["--k", "2", "--r", "1"], {"signal": "s1", "k": "3", "r": "2"}),
+}
+
+
+@pytest.mark.parametrize("command, option",
+                         [(c, o) for c, (_, values) in HASH_CASES.items() for o in values])
+def test_config_hash_tracks_every_option(tmp_path, command, option):
+    """Two runs that differ in one option share no config_hash: the config echo
+    holds every option but --out and --config."""
+    base, values = HASH_CASES[command]
+    assert set(vars(parse_args([command]))) - {"command", "out", "config"} == set(values)
+    assert run(tmp_path / "base", command, *base) == EXIT_OK
+    assert run(tmp_path / "changed", command, *base,
+               f"--{option.replace('_', '-')}", values[option]) == EXIT_OK
+    before, after = _config_hashes(tmp_path / "base"), _config_hashes(tmp_path / "changed")
+    assert before and after and not set(before.values()) & set(after.values())

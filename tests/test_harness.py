@@ -126,7 +126,7 @@ class TestContext:
         res = pl.estimate_signal(pl.make_context(self.SERIES, 500), gaussian, seed=3)
         z = res.context.part.z
         assert np.all((z > 1.0) & (z <= 3.0)) and z[-1] == 3.0
-        assert res.context.basis.a == res.context.grid.a == 1.0
+        assert res.context.basis.a == 1.0
 
     def test_cell_risk_is_the_empirical_norm(self, gaussian):
         # rbar is ||S_star - S||_d^2 on [a, b], the mean of empirical_error over replications

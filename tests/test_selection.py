@@ -14,15 +14,16 @@ from tvarseq.selection import (
     select,
     weighted_estimate_values,
 )
+from tvarseq.sequential import grid_size
 from tvarseq.signals import ValidationError
 
 
 class TestWeightGrid:
     def test_n10000_dimensions(self):
         grid = build_weight_grid(10000)
-        assert grid.k_star == 153
-        assert grid.m == 84
-        assert grid.eps == pytest.approx(0.108574, abs=1e-6)
+        assert grid.k[-1] == 153  # k_star
+        assert np.unique(grid.t).size == 84  # m
+        assert grid.t[0] == pytest.approx(0.108574, abs=1e-6)  # eps
         assert grid.nu == 153 * 84
 
     def test_weight_range_and_monotonicity(self):
@@ -49,25 +50,25 @@ class TestWeightGrid:
         beyond = j[None, :] > grid.omega[:, None]
         assert np.all(grid.lam[beyond] == 0.0)
         # the columns W+1..d left out of the band lie beyond every omega
-        assert W <= grid.d and np.all(grid.omega < W + 1)
+        assert W <= grid_size(1000) and np.all(grid.omega < W + 1)
 
     @pytest.mark.parametrize("n", [200, 10000, 70000])
     def test_band_matches_dense_closed_form(self, n, rng):
         grid = build_weight_grid(n)
-        W = grid.lam.shape[1]
-        j = np.arange(1, grid.d + 1)[None, :]
+        W, d = grid.lam.shape[1], grid_size(n)
+        j = np.arange(1, d + 1)[None, :]
         ks = grid.k.astype(float)[:, None]
         dense = np.where(j < grid.j_star[:, None], 1.0,
                          np.maximum(1.0 - (j / grid.omega[:, None]) ** ks, 0.0))
-        assert W < grid.d
+        assert W < d
         assert np.max(np.abs(grid.lam - dense[:, :W])) <= 1e-15
         assert np.all(dense[:, W:] == 0.0)
         for _ in range(5):
-            coeffs = FourierCoeffs(theta_hat=rng.normal(size=grid.d) / j[0],
-                                   s_jd=rng.uniform(0.01, 1.0, grid.d))
+            coeffs = FourierCoeffs(theta_hat=rng.normal(size=d) / j[0],
+                                   s_jd=rng.uniform(0.01, 1.0, d))
             delta = default_delta(n)
-            band = criterion(grid.lam, grid.lam_sq, coeffs, delta, 0.0, 1.0, grid.d)
-            full = criterion(dense, dense * dense, coeffs, delta, 0.0, 1.0, grid.d)
+            band = criterion(grid.lam, grid.lam_sq, coeffs, delta, 0.0, 1.0, d)
+            full = criterion(dense, dense * dense, coeffs, delta, 0.0, 1.0, d)
             np.testing.assert_allclose(band, full, rtol=1e-12, atol=0.0)
             assert np.argmin(band) == np.argmin(full)
 
@@ -78,9 +79,10 @@ class TestWeightGrid:
         assert k == 1 and t == pytest.approx(eps, abs=1e-12)
         # outer loop over k, inner loop over t
         assert grid.k[1] == 1
-        assert grid.k[grid.m] == 2
-        assert grid.t.tolist() == [grid.eps * ti for _ in range(grid.k_star)
-                                   for ti in range(1, grid.m + 1)]
+        m = np.unique(grid.t).size
+        assert grid.k[m] == 2
+        assert grid.t.tolist() == [eps * ti for _ in range(grid.k[-1])
+                                   for ti in range(1, m + 1)]
 
 
 class TestPenaltyAndCriterion:
@@ -218,15 +220,14 @@ class TestEmpiricalError:
             empirical_error(np.zeros(4), np.zeros(5), 0.0, 1.0, 5)
 
 
-def test_shared_definitions():
+def test_shared_definitions(ctx_10000):
     from tvarseq import sequential
     # bad input raises the one validation error class, in every module
     for bad_input in (lambda: sequential.compute_partition(50),
-                      lambda: sequential.compute_partition(200, mu0=1.5),
                       lambda: build_weight_grid(50),
                       lambda: criterion(np.ones(3), np.ones(3), None, 0.2, 0.0, 1.0, 3)):
         with pytest.raises(ValidationError) as info:
             bad_input()
         assert type(info.value) is ValidationError
     assert not hasattr(sequential, "ConfigurationError")
-    assert build_weight_grid(10000).d == sequential.grid_size(10000)
+    assert ctx_10000.basis.d == ctx_10000.part.d == sequential.grid_size(10000)

@@ -70,11 +70,10 @@ def test_parseval_and_reconstruction(half_d, interval, scale, seed):
     assert abs(float(theta_hat @ theta_hat) - energy) <= 1e-12 * energy
 
 
-def hand_grid(lam, a, b, d):
+def hand_grid(lam):
     """A weight grid holding the given (nu, W) profiles, alpha = (row + 1, 1.0)."""
     nu = len(lam)
-    return WeightGrid(a=a, b=b, d=d, k_star=nu, m=1, eps=1.0,
-                      k=np.arange(1, nu + 1), t=np.ones(nu),
+    return WeightGrid(k=np.arange(1, nu + 1), t=np.ones(nu),
                       lam=lam, lam_sq=lam * lam, j_star=np.zeros(nu), omega=np.zeros(nu))
 
 
@@ -87,7 +86,7 @@ def assert_close(got, want, scale):
 def test_stack_equals_rows(inputs, m, scale, seed):
     lam, _, delta, a, b, d = inputs
     rng = np.random.default_rng(seed)
-    basis, grid = TrigBasis(a, b, d), hand_grid(lam, a, b, d)
+    basis, grid = TrigBasis(a, b, d), hand_grid(lam)
     Y = scale * rng.standard_normal((m, d))
     sigma2 = scale * scale * rng.random((m, d))
     stack = fourier_coefficients(basis, Y, sigma2)
@@ -119,7 +118,7 @@ def test_exact_tie_picks_smaller_index_in_every_row():
     # profiles 1 and 2 (both lam = 1) tie below profile 0 (lam = 1/2) in every row
     d = 7
     basis = TrigBasis(0.0, 1.0, d)
-    grid = hand_grid(np.array([[0.5] * 4, [1.0] * 4, [1.0] * 4]), 0.0, 1.0, d)
+    grid = hand_grid(np.array([[0.5] * 4, [1.0] * 4, [1.0] * 4]))
     theta = np.array([[1.0] * d, [2.0] * d, [3.0, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0]])
     coeffs = FourierCoeffs(theta_hat=theta, s_jd=np.zeros((3, d)))
     chosen = select(coeffs, grid, 0.05, basis)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from tvarseq.sequential import (
+    MU0,
     build_regression,
     compute_partition,
+    eps_tilde,
     grid_size,
     preliminary_estimate,
     project_estimate,
@@ -23,11 +25,12 @@ class TestPartition:
     def test_n200_shape(self):
         part = compute_partition(200)
         assert part.d == 15
-        assert part.h == pytest.approx(1.0 / 30)
+        assert 1.0 / (2 * part.d) == pytest.approx(1.0 / 30)  # h = (b-a)/(2d) on [0, 1]
         assert part.k1[0] == 7 and part.k2[0] == 20
 
     def test_n200_preliminary_window(self):
-        part = compute_partition(200, mu0=0.5)
+        part = compute_partition(200)
+        assert MU0 == 0.5
         assert part.q_pre == 2
         assert part.iota[0] == 9
 
@@ -53,10 +56,6 @@ class TestPartition:
     def test_small_n_rejected(self):
         with pytest.raises(ValidationError):
             compute_partition(50)
-
-    def test_bad_mu0_rejected(self):
-        with pytest.raises(ValidationError):
-            compute_partition(200, mu0=1.5)
 
 
 class TestPreliminary:
@@ -191,7 +190,7 @@ class TestPipelineInvariants:
 
     def test_variance_proxy_bounds(self, samples):
         part, out = samples
-        eps = part.eps_tilde
+        eps = eps_tilde(part.n)
         for _, points in out:
             for p in points:
                 span = (1.0 - eps) * (part.k2[p.l - 1] - part.iota[p.l - 1])
@@ -202,7 +201,7 @@ class TestPipelineInvariants:
         part, out = samples
         for _, points in out:
             for p in points:
-                assert abs(p.s_pre) <= 1.0 - part.eps_tilde + 1e-12
+                assert abs(p.s_pre) <= 1.0 - eps_tilde(part.n) + 1e-12
 
     def test_window_locality(self, samples):
         # perturbing observations outside [k1-1, k2] leaves the point untouched,
