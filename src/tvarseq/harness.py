@@ -4,11 +4,11 @@
 Each replication simulates a fresh trajectory from a deterministically derived
 seed and runs the sequential stage on it, one replication at a time.  The
 regression samples of a chunk of replications are then estimated together:
-one coefficient product and one criterion product over the whole weight grid
-per chunk, so the grid is read once per chunk, not once per replication.  A
-chunk's criterion block holds at most CHUNK_VALUES values (8 MB).  Squared
-errors and selections are aggregated in replication order, so a cell is
-reproducible bit-for-bit.
+one coefficient product and one pass over the weight grid per chunk, so the
+weight profiles are built once per chunk, not once per replication.  A
+chunk's (m, nu) criterion values take at most CHUNK_VALUES floats (8 MB).
+Squared errors and selections are aggregated in replication order, so a cell
+is reproducible bit-for-bit.
 """
 
 from dataclasses import dataclass, field
@@ -57,7 +57,7 @@ class RiskReport:
     robust: dict  # n -> max rbar over noise families
 
 
-# values in one chunk's (m, nu) criterion block: 8 MB of float64
+# (m, nu) criterion values of one chunk, at most: 8 MB of float64
 CHUNK_VALUES = 2 ** 20
 
 

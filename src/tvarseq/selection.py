@@ -24,30 +24,85 @@ def default_delta(n):
     return min(DELTA_MAX, 1.0 / (12.0 + math.log(n)))
 
 
+# profiles in one block of the weight grid, at least.  Small enough that a
+# block stays in cache while the criterion reads it (a block and its square
+# take 2.1 MB at n = 7e4); large enough that a product over two or more
+# samples keeps to the BLAS kernel that one product over the whole grid takes
+# (OpenBLAS hands rows x samples <= 1200 to a small-matrix kernel), so that
+# every criterion value has the bits of that one product.
+BLOCK_ROWS = 1024
+
+
 @dataclass(frozen=True)
 class WeightGrid:
-    """Shrinkage profiles lambda_alpha for alpha on {1..k_star} x {eps..m*eps}."""
+    """Alphas (k, t) on {1..k_star} x {eps..m*eps}.  Their profiles lambda_alpha
+    are never stored: blocks() builds them a few k at a time."""
 
     k: np.ndarray = field(repr=False)        # per alpha; k outer, t inner
     t: np.ndarray = field(repr=False)        # per alpha
-    lam: np.ndarray = field(repr=False)      # shape (nu, W): columns j = 1..W
-    lam_sq: np.ndarray = field(repr=False)   # lam * lam
     j_star: np.ndarray = field(repr=False)   # per alpha, real-valued
     omega: np.ndarray = field(repr=False)    # per alpha, real-valued
+    width: int                               # W: every weight for j > W is 0
 
     @property
     def nu(self):
         return len(self.k)
 
+    @property
+    def lam(self):
+        """The dense (nu, W) stack of every profile, assembled from blocks()."""
+        return np.concatenate([lam.copy() for lam, _ in self.blocks()])
+
+    def blocks(self):
+        """The profiles on j = 1..W and their squares, as (rows, W) blocks in alpha order.
+
+        A block holds the profiles of consecutive k, at least BLOCK_ROWS and a
+        multiple of 16 (the last block also takes the k left over), so that its
+        boundaries fall on the row strips of the BLAS kernels.  Its profiles
+        are zero beyond its band j <= [max omega]: the ufuncs run on the band
+        alone, the exponent broadcast as (k, 1, 1) over the (k, m, band) band,
+        so every weight has the bits of one pass over the whole grid.  The
+        blocks share two buffers: each is overwritten when the next is drawn.
+        """
+        k_star = int(self.k[-1])
+        m = self.nu // k_star
+        k = np.arange(1, k_star + 1, dtype=float)[:, None, None]
+        omega = self.omega.reshape(k_star, m, 1)
+        j_star = self.j_star.reshape(k_star, m, 1)
+        j = np.arange(1, self.width + 1, dtype=float)
+        unit = 16 // math.gcd(m, 16)  # k per block is a multiple of unit: 16 | k * m rows
+        step = -(-BLOCK_ROWS // (m * unit)) * unit
+        count = max(1, k_star // step)
+        largest = (k_star - (count - 1) * step, m, self.width)  # the last block
+        lam_buf, sq_buf = np.zeros(largest), np.zeros(largest)
+        head_buf = np.empty(lam_buf.size)
+        filled = 0  # the buffers are zero beyond their first `filled` columns
+        for i in range(count):
+            rows = slice(i * step, (i + 1) * step if i + 1 < count else k_star)
+            kb = rows.stop - rows.start
+            band = min(self.width, int(omega[rows].max()))
+            head = head_buf[:kb * m * band].reshape(kb, m, band)
+            np.divide(j[:band], omega[rows], out=head)
+            np.power(head, k[rows], out=head)
+            np.subtract(1.0, head, out=head)
+            np.maximum(head, 0.0, out=head)
+            np.copyto(head, 1.0, where=j[:band] < j_star[rows])
+            lam, lam_sq = lam_buf[:kb], sq_buf[:kb]
+            lam[..., band:filled] = lam_sq[..., band:filled] = 0.0
+            lam[..., :band] = head
+            np.multiply(head, head, out=lam_sq[..., :band])
+            filled = band
+            yield lam.reshape(-1, self.width), lam_sq.reshape(-1, self.width)
+
 
 def build_weight_grid(n, a=0.0, b=1.0):
-    """Construct the adaptation grid and its weight vectors on their nonzero band.
+    """Construct the adaptation grid: its alphas and their band width W.
 
     The simulation instantiation: d = grid_size(n), k_star = 150 + [sqrt(ln n)],
     m = [ln^2 n], eps = 1/ln n.  For alpha = (k, t) the profile is flat below
     j_star, decays as 1 - (j/omega_alpha)^k up to omega_alpha, and is zero
-    beyond.  Every profile is zero for j >= omega_alpha, so lam holds only the
-    columns j = 1..W, W = min(d, [max omega]); the weights for j > W are 0.
+    beyond.  Every profile is zero for j >= omega_alpha, so the profiles run
+    over the columns j = 1..W, W = min(d, [max omega]); the weights for j > W are 0.
     """
     if n < 100:
         raise ValidationError(f"need n >= 100, got {n}")
@@ -65,19 +120,9 @@ def build_weight_grid(n, a=0.0, b=1.0):
     omega_star = j_star + ln_n
     omega = omega_star + (b - a) ** (2 * k / (2 * k + 1)) * core
 
-    width = min(d, int(omega.max()))
-    j = np.arange(1, width + 1, dtype=float)                 # (W,)
-    lam = np.empty((k_star, m, width))
-    np.divide(j, omega[:, :, None], out=lam)
-    np.power(lam, k[:, :, None], out=lam)
-    np.subtract(1.0, lam, out=lam)
-    np.maximum(lam, 0.0, out=lam)
-    np.copyto(lam, 1.0, where=j < j_star[:, :, None])
-    lam = lam.reshape(k_star * m, width)
-
     return WeightGrid(k=np.repeat(np.arange(1, k_star + 1), m), t=np.tile(t[0], k_star),
-                      lam=lam, lam_sq=lam * lam,
-                      j_star=j_star.reshape(-1), omega=omega.reshape(-1))
+                      j_star=j_star.reshape(-1), omega=omega.reshape(-1),
+                      width=min(d, int(omega.max())))
 
 
 def criterion(lam, lam_sq, coeffs, delta, a, b, d):
@@ -124,14 +169,26 @@ def select(coeffs, grid, delta, basis):
 
     lambda_hat is the selected profile on all of 1..d; S_star holds the
     selected estimate's values at the z grid.  coeffs is one sample or a stack
-    of them; a stack is selected row by row in one criterion product.
+    of them; a stack is selected row by row.  The criterion runs once per
+    block of grid.blocks(), on the block while it is in cache.
     """
     if grid.nu == 0:
         raise ValidationError("empty weight grid")
-    J = criterion(grid.lam, grid.lam_sq, coeffs, delta, basis.a, basis.b, basis.d)
+    J = np.empty(np.shape(coeffs.theta_hat)[:-1] + (grid.nu,))
+    starts, picks = [], []  # per block: its first alpha, each sample's first minimum in it
+    first = 0
+    for lam, lam_sq in grid.blocks():
+        part = J[..., first:first + len(lam)]
+        part[...] = criterion(lam, lam_sq, coeffs, delta, basis.a, basis.b, basis.d)
+        starts.append(first)
+        picks.append(np.take(lam, np.argmin(part, axis=-1), axis=0))  # a copy: lam is reused
+        first += len(lam)
     idx = np.argmin(J, axis=-1)  # first minimum = lexicographically smallest alpha
+    # the first minimum over all alphas is also the first within its own block
+    owner = np.searchsorted(starts, idx, side="right") - 1
     lam_hat = np.zeros(J.shape[:-1] + (basis.d,))
-    lam_hat[..., :grid.lam.shape[1]] = grid.lam[idx]
+    lam_hat[..., :picks[0].shape[-1]] = np.take_along_axis(
+        np.stack(picks), owner[None, ..., None], axis=0)[0]
     k, t = grid.k[idx].tolist(), grid.t[idx].tolist()  # Python scalars for the JSON
     if idx.ndim == 0:
         idx, alpha_hat = int(idx), (k, t)

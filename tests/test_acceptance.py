@@ -87,6 +87,8 @@ def oracle_runs(s1, gaussian):
     ctx = make_context(s1, 1000)
     S_grid = signal_values_on_grid(s1, ctx.part)
     theta_d = (1.0 / ctx.part.d) * (ctx.basis.phi.T @ S_grid)
+    lam = ctx.grid.lam  # every candidate profile on the band j = 1..W
+    W = lam.shape[1]
     sel_er = []
     min_er = []
     for r in range(1, 201):
@@ -97,8 +99,7 @@ def oracle_runs(s1, gaussian):
         th = res.coeffs.theta_hat
         # empirical risk of every candidate, via grid orthonormality; the
         # weights beyond the band W are 0, so those terms are theta_d^2
-        W = ctx.grid.lam.shape[1]
-        er_all = (np.sum((ctx.grid.lam * th[:W] - theta_d[:W]) ** 2, axis=1)
+        er_all = (np.sum((lam * th[:W] - theta_d[:W]) ** 2, axis=1)
                   + float(theta_d[W:] @ theta_d[W:]))
         sel_er.append(float(np.sum((res.selection.lambda_hat * th - theta_d) ** 2)))
         min_er.append(float(er_all.min()))
@@ -189,9 +190,9 @@ def test_criterion_04_structural_identities(s1, gaussian):
             ok = ok and 0.0 < p.kappa <= 1.0 and iota < p.tau <= k2
     ok = ok and worst_stop < 1e-9
 
-    grid = make_context(s1, 1000).grid
-    lam_ok = bool(np.all(grid.lam >= 0.0) and np.all(grid.lam <= 1.0)
-                  and np.all(np.diff(grid.lam, axis=1) <= 1e-14))
+    lam = make_context(s1, 1000).grid.lam
+    lam_ok = bool(np.all(lam >= 0.0) and np.all(lam <= 1.0)
+                  and np.all(np.diff(lam, axis=1) <= 1e-14))
     ok = ok and lam_ok
     detail = f"gram={worst_gram:.2e}, stop={worst_stop:.2e}, weights_ok={lam_ok}"
     record(4, "structural identities (Gram, stopping, kappa/tau, weights)", ok, detail)

@@ -1,12 +1,20 @@
 """Weight grid construction, penalized criterion, and model selection."""
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tvarseq
+from tvarseq import harness, pipeline
 from tvarseq.basis import FourierCoeffs, TrigBasis, fourier_coefficients
 from tvarseq.selection import (
+    BLOCK_ROWS,
+    WeightGrid,
     build_weight_grid,
     criterion,
     default_delta,
@@ -55,19 +63,20 @@ class TestWeightGrid:
     @pytest.mark.parametrize("n", [200, 10000, 70000])
     def test_band_matches_dense_closed_form(self, n, rng):
         grid = build_weight_grid(n)
-        W, d = grid.lam.shape[1], grid_size(n)
+        lam = grid.lam
+        W, d = lam.shape[1], grid_size(n)
         j = np.arange(1, d + 1)[None, :]
         ks = grid.k.astype(float)[:, None]
         dense = np.where(j < grid.j_star[:, None], 1.0,
                          np.maximum(1.0 - (j / grid.omega[:, None]) ** ks, 0.0))
         assert W < d
-        assert np.max(np.abs(grid.lam - dense[:, :W])) <= 1e-15
+        assert np.max(np.abs(lam - dense[:, :W])) <= 1e-15
         assert np.all(dense[:, W:] == 0.0)
         for _ in range(5):
             coeffs = FourierCoeffs(theta_hat=rng.normal(size=d) / j[0],
                                    s_jd=rng.uniform(0.01, 1.0, d))
             delta = default_delta(n)
-            band = criterion(grid.lam, grid.lam_sq, coeffs, delta, 0.0, 1.0, d)
+            band = criterion(lam, lam * lam, coeffs, delta, 0.0, 1.0, d)
             full = criterion(dense, dense * dense, coeffs, delta, 0.0, 1.0, d)
             np.testing.assert_allclose(band, full, rtol=1e-12, atol=0.0)
             assert np.argmin(band) == np.argmin(full)
@@ -83,6 +92,120 @@ class TestWeightGrid:
         assert grid.k[m] == 2
         assert grid.t.tolist() == [eps * ti for _ in range(grid.k[-1])
                                    for ti in range(1, m + 1)]
+
+
+def one_shot_lam(grid):
+    """The (nu, W) profiles in one pass of the ufuncs over the whole grid, the
+    way the grid once stored them: the reference the blocks must match bit for bit."""
+    k_star = grid.k[-1]
+    m = grid.nu // k_star
+    k = np.arange(1, k_star + 1, dtype=float)[:, None]
+    omega, j_star = grid.omega.reshape(k_star, m), grid.j_star.reshape(k_star, m)
+    j = np.arange(1, grid.width + 1, dtype=float)
+    lam = np.empty((k_star, m, grid.width))
+    np.divide(j, omega[:, :, None], out=lam)
+    np.power(lam, k[:, :, None], out=lam)
+    np.subtract(1.0, lam, out=lam)
+    np.maximum(lam, 0.0, out=lam)
+    np.copyto(lam, 1.0, where=j < j_star[:, :, None])
+    return lam.reshape(k_star * m, grid.width)
+
+
+# select on the streamed blocks against the criterion on the dense stack, in a
+# process whose BLAS runs on one thread: the products then split no differently
+SELECT_EQUALS_DENSE = """
+import numpy as np
+from tvarseq.basis import FourierCoeffs, TrigBasis
+from tvarseq.selection import build_weight_grid, criterion, default_delta, select
+from tvarseq.sequential import grid_size
+
+rng = np.random.default_rng(7)
+for n in (10000, 70000):
+    grid, d = build_weight_grid(n), grid_size(n)
+    basis, delta, lam = TrigBasis(0.0, 1.0, d), default_delta(n), grid.lam
+    starts = np.cumsum([len(block) for block, _ in grid.blocks()])
+    for shape in ((d,), (2, d), (50, d)):
+        # flat spectra up to a cut-off, at noise levels over four decades: the
+        # rows select profiles of small and of large k, from several blocks
+        cut = rng.uniform(2.0, 20.0, shape[:-1] + (1,))
+        theta = np.where(np.arange(1, d + 1) < cut, 1.0, 0.0) * rng.choice([-1.0, 1.0], shape)
+        noise = 10.0 ** rng.uniform(-4.0, 0.0, shape[:-1] + (1,))
+        coeffs = FourierCoeffs(theta_hat=theta, s_jd=noise * rng.uniform(0.5, 1.0, shape))
+        got = select(coeffs, grid, delta, basis)
+        J = criterion(lam, lam * lam, coeffs, delta, 0.0, 1.0, d)
+        idx = np.argmin(J, axis=-1)
+        lam_hat = np.zeros(shape)
+        lam_hat[..., :grid.width] = lam[idx]
+        assert np.array_equal(got.J_values, J), (n, shape)
+        assert np.array_equal(got.alpha_index, idx), (n, shape)
+        assert np.array_equal(got.lambda_hat, lam_hat), (n, shape)
+        print(n, shape[0], len(np.unique(np.searchsorted(starts, idx, side="right"))))
+"""
+
+
+class TestStreamedGrid:
+    """The profiles are built block by block, never stored: the blocks, the
+    criterion and the selection keep the bits of one pass over a stored grid."""
+
+    @pytest.mark.parametrize("n", [200, 10000, 70000])
+    def test_blocks_equal_one_shot_formula(self, n):
+        grid = build_weight_grid(n)
+        lam = grid.lam
+        assert np.array_equal(lam, one_shot_lam(grid))
+        # the rows of k = 2 are among them: pow's bits there depend on how its exponent broadcasts
+        assert np.count_nonzero(grid.k == 2) > 0
+        rows = [len(block) for block, _ in grid.blocks()]
+        assert sum(rows) == grid.nu and len(rows) > 1
+        assert all(r >= BLOCK_ROWS and r % 16 == 0 for r in rows[:-1])
+        assert all(np.array_equal(sq, block * block) for block, sq in grid.blocks())
+
+    def test_select_equals_dense_criterion_bitwise(self):
+        src = os.path.dirname(os.path.dirname(tvarseq.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", SELECT_EQUALS_DENSE], capture_output=True,
+                             text=True, env=env, timeout=300)
+        assert out.returncode == 0, out.stderr
+        # the 50-sample stacks select from more than one block
+        assert [int(line.split()[2]) > 1 for line in out.stdout.splitlines()[2::3]] == [True] * 2
+
+    def test_tie_across_block_boundary_goes_to_earlier_block(self):
+        # theta = e_1 and s = 0 give J = lam_1^2 - 2 lam_1: -1 where lam_1 = 1, else 0
+        # for these profiles (omega = j_star + 1/2 makes lam = 1 on j < j_star, 0
+        # beyond).  The last alpha of the first block (flat on j = 1) and the first
+        # of the second (flat on j = 1, 2) tie exactly.
+        grid = build_weight_grid(10000)
+        last = len(next(grid.blocks())[0]) - 1
+        j_star = np.full(grid.nu, 0.5)
+        j_star[last], j_star[last + 1] = 1.5, 2.5
+        grid = dataclasses.replace(grid, j_star=j_star, omega=j_star + 0.5)
+        d = grid_size(10000)
+        theta = np.zeros(d)
+        theta[0] = 1.0
+        one = FourierCoeffs(theta_hat=theta, s_jd=np.zeros(d))
+        stack = FourierCoeffs(theta_hat=np.stack([theta, 2.0 * theta]), s_jd=np.zeros((2, d)))
+        for coeffs in (one, stack):
+            res = select(coeffs, grid, 0.05, TrigBasis(0.0, 1.0, d))
+            J = res.J_values.reshape(-1, grid.nu)
+            assert np.all(J[:, last] == J[:, last + 1]) and np.all(J[:, last] == J.min(axis=1))
+            assert np.all(res.alpha_index == last)
+            lam_hat = res.lambda_hat.reshape(-1, d)
+            assert np.all(lam_hat[:, 0] == 1.0) and np.all(lam_hat[:, 1:] == 0.0)
+
+    def test_context_grid_holds_per_alpha_arrays_only(self, s1):
+        grid = pipeline.make_context(s1, 70000).grid
+        held = sum(getattr(grid, f.name).nbytes for f in dataclasses.fields(grid)
+                   if isinstance(getattr(grid, f.name), np.ndarray))
+        assert held == 4 * grid.nu * 8  # k, t, j_star, omega; no (nu, W) stack
+
+    def test_hot_paths_never_read_the_dense_stack(self, monkeypatch, s1, gaussian):
+        def refuse(grid):
+            raise AssertionError("the dense (nu, W) stack was read")
+        monkeypatch.setattr(WeightGrid, "lam", property(refuse))
+        cell = harness.run_cell(s1, gaussian, 1000, 3, 12345)
+        assert cell.M == 3 and np.isfinite(cell.rbar)
+        res = pipeline.estimate_signal(pipeline.make_context(s1, 1000), gaussian, 0)
+        assert res.selection.lambda_hat.shape == (res.context.part.d,)
 
 
 class TestPenaltyAndCriterion:
@@ -185,9 +308,10 @@ class TestSelect:
         coeffs = fourier_coefficients(basis, S_grid, np.zeros(d))
         grid = ctx_1000.grid
         res = select(coeffs, grid, 1e-6, basis)
-        W = grid.lam.shape[1]  # every weight beyond the band is 0
+        lam = grid.lam
+        W = lam.shape[1]  # every weight beyond the band is 0
         errors = np.array([
-            empirical_error(S_grid, basis.phi[:, :W] @ (grid.lam[i] * coeffs.theta_hat[:W]),
+            empirical_error(S_grid, basis.phi[:, :W] @ (lam[i] * coeffs.theta_hat[:W]),
                             0.0, 1.0, d)
             for i in range(grid.nu)
         ])

@@ -8,12 +8,13 @@ selection on an (m, d) stack of samples equal the calls on each row alone.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from tvarseq.basis import FourierCoeffs, TrigBasis, fourier_coefficients
-from tvarseq.selection import DELTA_MAX, WeightGrid, criterion, select
+from tvarseq.selection import DELTA_MAX, criterion, select
 
 PROPERTY = settings(deadline=None, max_examples=50, derandomize=True, database=None)
 
@@ -71,10 +72,10 @@ def test_parseval_and_reconstruction(half_d, interval, scale, seed):
 
 
 def hand_grid(lam):
-    """A weight grid holding the given (nu, W) profiles, alpha = (row + 1, 1.0)."""
+    """A weight grid stand-in: the given (nu, W) profiles in one block, alpha = (row + 1, 1.0)."""
     nu = len(lam)
-    return WeightGrid(k=np.arange(1, nu + 1), t=np.ones(nu),
-                      lam=lam, lam_sq=lam * lam, j_star=np.zeros(nu), omega=np.zeros(nu))
+    return SimpleNamespace(k=np.arange(1, nu + 1), t=np.ones(nu), nu=nu,
+                           blocks=lambda: iter([(lam, lam * lam)]))
 
 
 def assert_close(got, want, scale):
