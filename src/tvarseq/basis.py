@@ -42,8 +42,11 @@ class TrigBasis:
         offset = (b - a) * np.arange(1, d + 1) / d
         # phi[l-1, j-1] = phi_j(z_l); reused by every coefficient estimate.  It is
         # evaluated at z_l - a = offset, since recomputing z_l - a from z_l
-        # cancels digits when |a| >> b - a and breaks the exact orthonormality
-        self.phi = np.column_stack([trig_fn(j, offset, 0.0, b - a) for j in range(1, d + 1)])
+        # cancels digits when |a| >> b - a and breaks the exact orthonormality.
+        # Filled a column at a time in C order, the layout the products read
+        self.phi = np.empty((d, d))
+        for j in range(1, d + 1):
+            self.phi[:, j - 1] = trig_fn(j, offset, 0.0, b - a)
         self.phi.setflags(write=False)
 
     def gram(self):

@@ -128,7 +128,11 @@ def signal_values_uniform(spec, N):
     if spec.kind == "tabulated":
         return np.interp(spec.a + (spec.b - spec.a) * np.arange(N + 1) / N,
                          np.linspace(spec.a, spec.b, len(spec.values)), spec.values)
-    c0, A, B = trig_amplitudes(spec)
+    return _series_values(*trig_amplitudes(spec), N)
+
+
+def _series_values(c0, A, B, N):
+    """The series c0 + sum_m A_m cos(2 pi m u) + B_m sin(2 pi m u) at u = i/N, i = 0..N."""
     k = np.arange(1, len(A) + 1) % N
     vals = c0 + np.fft.fft(np.bincount(k, A, N) + 1j * np.bincount(k, B, N)).real
     return np.append(vals, vals[0])  # u = 1 wraps to u = 0
@@ -146,10 +150,10 @@ def validate_stability(spec, n):
         vals = np.asarray(spec.values, dtype=float)
         bound = float(np.max(np.abs(vals)))
     else:
-        _, A, B = trig_amplitudes(spec)
+        c0, A, B = trig_amplitudes(spec)
         slope_u = 2.0 * np.pi * float(np.arange(1, len(A) + 1) @ (np.abs(A) + np.abs(B)))
         need = min(slope_u / (2.0 * _CERT_SLACK * spec.stability_eps), _CERT_MAX_POINTS)
-        vals = signal_values_uniform(spec, 1 << (math.ceil(need) - 1).bit_length())
+        vals = _series_values(c0, A, B, 1 << (math.ceil(need) - 1).bit_length())
         bound = float(np.max(np.abs(vals))) + slope_u / (2 * (len(vals) - 1))
     if not bound <= 1.0 - spec.stability_eps + 1e-12:
         raise ValidationError(f"signal violates stability: sup|S| <= {bound:.6g} is not"

@@ -32,6 +32,16 @@ class TestBasisEval:
             np.testing.assert_allclose(basis.phi[:, j - 1], trig_fn(j, z, 1.0, 3.0),
                                        atol=1e-14)
 
+    @pytest.mark.parametrize("a, b, d", [(0.0, 1.0, 101), (1.0, 3.0, 15), (-2.5, 7.0, 1001)])
+    def test_phi_bits_match_column_stack(self, a, b, d):
+        # phi is filled in place: same bits and the same C layout as stacking
+        # the d columns, so every product with phi keeps its BLAS kernel
+        offset = (b - a) * np.arange(1, d + 1) / d
+        stacked = np.column_stack([trig_fn(j, offset, 0.0, b - a) for j in range(1, d + 1)])
+        phi = TrigBasis(a, b, d).phi
+        assert phi.flags.c_contiguous and phi.dtype == np.float64
+        assert phi.tobytes() == stacked.tobytes()
+
 
 class TestInnerProduct:
     def test_normalization(self):

@@ -450,3 +450,54 @@ def test_config_hash_tracks_every_option(tmp_path, command, option):
                f"--{option.replace('_', '-')}", values[option]) == EXIT_OK
     before, after = _config_hashes(tmp_path / "base"), _config_hashes(tmp_path / "changed")
     assert before and after and not set(before.values()) & set(after.values())
+
+
+# columns of whole numbers (counts, indices, 0/1 flags) and of names; every
+# other CSV column holds floats
+INT_COLUMNS = {"j", "l", "i", "k", "tau_l", "gamma_l", "n", "M"}
+TEXT_COLUMNS = {"signal", "noise"}
+
+
+def _canonical_rows(path):
+    """The data rows of a CSV, after checking each field is written canonically:
+    a float as repr(float), an integer or 0/1 flag as str(int), a name as is."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[0].startswith("# config_hash=") and lines[-1] == ""
+    names, rows = lines[1].split(","), [line.split(",") for line in lines[2:-1]]
+    for row in rows:
+        assert len(row) == len(names)
+        for name, field in zip(names, row):
+            if name in INT_COLUMNS:
+                assert str(int(field)) == field, (path.name, name, field)
+            elif name in TEXT_COLUMNS:
+                assert field and field.strip() == field, (path.name, name, field)
+            else:
+                assert repr(float(field)) == field, (path.name, name, field)
+    return rows
+
+
+def test_real_artifacts_are_canonical_field_by_field(tmp_path):
+    """Every field of every CSV the commands write, and each file's row count."""
+    from tvarseq.signals import signal_s1, signal_s2
+    grids = {name: pl.make_context(spec, 2000) for name, spec in
+             (("s1", signal_s1()), ("s2", signal_s2()))}
+    for name, ctx in grids.items():
+        out = tmp_path / f"estimate_{name}"
+        assert run(out, "estimate", "--signal", name, "--n", "2000", "--seed", "3") == EXIT_OK
+        d = ctx.part.d
+        assert len(_canonical_rows(out / "criterion.csv")) == ctx.grid.k.size  # nu
+        for csv in ("seq_points.csv", "coefficients.csv", "s_star.csv"):
+            assert len(_canonical_rows(out / csv)) == d
+    assert run(tmp_path / "beta", "beta", "--signal", "s2", "--n", "2000") == EXIT_OK
+    assert len(_canonical_rows(tmp_path / "beta" / "beta.csv")) == grids["s2"].part.d
+    assert run(tmp_path / "sim", "simulate", "--signal", "s2", "--n", "300") == EXIT_OK
+    assert len(_canonical_rows(tmp_path / "sim" / "trajectory.csv")) == 301
+    out = tmp_path / "table"
+    assert run(out, "risk-table", "--signal", "s1", "--n", "200,300", "--M", "2",
+               "--noise", "all") == EXIT_OK
+    assert len(_canonical_rows(out / "risk_table.csv")) == 4  # 2 n x 2 noise families
+    cells = sorted(out.glob("risk_table_s1_n*.csv"))
+    assert len(cells) == 4
+    for cell in cells:
+        n = int(re.search(r"_n(\d+)_", cell.name).group(1))
+        assert len(_canonical_rows(cell)) == pl.make_context(signal_s1(), n).part.d

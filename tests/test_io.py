@@ -1,4 +1,5 @@
-"""CSV writer: one column at a time, formatted by dtype, byte-equal to per-value formatting."""
+"""CSV writer: blocks of rows, each distinct value formatted once, byte-equal to
+per-value formatting."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tvarseq.io as tio
 from tvarseq.io import config_hash, write_csv
 
 FLOATS = np.array([0.1, 1 / 3, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf])
@@ -78,13 +80,51 @@ def test_empty_table_writes_the_header_only(tmp_path):
 def test_unequal_columns_rejected(tmp_path):
     with pytest.raises(ValueError):
         written(tmp_path, {"a": [1, 2], "b": [1.0]})
+    # the lengths are checked before the file is opened: no partial file
+    assert not (tmp_path / "t.csv").exists()
+
+
+# float64 values whose bits differ though some compare equal or print alike
+NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                 0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+POOL = np.concatenate([[0.0, -0.0, 0.1, 1 / 3, -2.5, 5e-324, 1e308, math.inf, -math.inf],
+                       NANS])
+
+
+def repeats_table(rows):
+    """Columns with many repeats and every special float, over `rows` rows."""
+    r = np.arange(rows)
+    signed_zero = np.where(r % 2 == 0, 0.0, -0.0)
+    return {"z": signed_zero, "p": POOL[r * 7 % len(POOL)], "k": (r // 5) % 13 - 6,
+            "big": np.where(r % 3 == 0, 2 ** 62, -1).astype(np.int64),
+            "flag": r % 4 == 1, "name": np.array(["s1", "s2", "a b", ""])[r % 4],
+            "all": np.random.default_rng(rows).standard_normal(rows)}
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_blocks_with_repeats_match_the_old_rules(tmp_path, monkeypatch, block):
+    # more than two blocks, so the last one is short; block 3 puts every
+    # boundary case (first, last, short block) within a few rows
+    if block is not None:
+        monkeypatch.setattr(tio, "BLOCK_ROWS", block)
+    rows = 2 * tio.BLOCK_ROWS + tio.BLOCK_ROWS // 2 + 1
+    table = repeats_table(rows)
+    lines = written(tmp_path, table).decode("utf-8").split("\n")
+    assert len(lines) == 2 + rows + 1
+    assert lines[2:-1] == reference_lines(list(table.values()))
+    assert [line.split(",")[0] for line in lines[2:6]] == ["0.0", "-0.0", "0.0", "-0.0"]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=20))
-def test_floats_round_trip(tmp_path_factory, values):
+@given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                          st.sampled_from(POOL.tolist())), min_size=1, max_size=40),
+       st.integers(1, 8))
+def test_floats_round_trip(tmp_path_factory, values, block):
+    # a small pool makes repeats, and a small block puts them across boundaries
     col = np.array(values, dtype=np.float64)
-    raw = written(tmp_path_factory.mktemp("rt"), {"x": col})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tio, "BLOCK_ROWS", block)
+        raw = written(tmp_path_factory.mktemp("rt"), {"x": col})
     text = raw.decode("utf-8").split("\n")[2:-1]
     assert text == reference_lines([col])
     back = np.array([float(s) for s in text])

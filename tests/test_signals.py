@@ -282,6 +282,19 @@ class TestStabilityCertificate:
         bound = validate_stability(s2, 1000)
         assert S2_AT_ZERO <= bound <= S2_AT_ZERO + 1e-3 * s2.stability_eps
 
+    def test_bound_is_the_scan_of_the_public_evaluator(self, s1, s2):
+        # the certificate reads the amplitudes once, yet gives the same bits as
+        # max|S| on signal_values_uniform's grid plus the slope slack
+        shifted = SignalSpec(kind="series", coefficients=(0.1, 0.2, -0.1, 0.05, 0.03),
+                             a=1.0, b=3.0, stability_eps=0.3, lipschitz_L=50.0)
+        for spec in (s1, s2, shifted):
+            _, A, B = trig_amplitudes(spec)
+            slope_u = 2.0 * np.pi * float(np.arange(1, len(A) + 1) @ (np.abs(A) + np.abs(B)))
+            need = min(slope_u / (2e-3 * spec.stability_eps), 1 << 20)
+            N = 1 << (math.ceil(need) - 1).bit_length()
+            scan = float(np.max(np.abs(signal_values_uniform(spec, N))))
+            assert validate_stability(spec, 0) == scan + slope_u / (2 * N)
+
     def test_tabulated_is_exact(self):
         tent = dict(kind="tabulated", values=(0.0, 0.9, 0.0), lipschitz_L=1.8)
         assert validate_stability(SignalSpec(stability_eps=0.1, **tent), 200) == 0.9
