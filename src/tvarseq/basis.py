@@ -43,10 +43,15 @@ class TrigBasis:
         # phi[l-1, j-1] = phi_j(z_l); reused by every coefficient estimate.  It is
         # evaluated at z_l - a = offset, since recomputing z_l - a from z_l
         # cancels digits when |a| >> b - a and breaks the exact orthonormality.
-        # Filled a column at a time in C order, the layout the products read
+        # Filled in place in C order, the layout the products read: phi_2m and
+        # phi_2m+1 are cos and sin of the one argument 2 pi m offset / (b-a)
+        span = b - a
+        arg = np.multiply.outer(offset, 2.0 * np.pi * np.arange(1, d // 2 + 1)) / span
         self.phi = np.empty((d, d))
-        for j in range(1, d + 1):
-            self.phi[:, j - 1] = trig_fn(j, offset, 0.0, b - a)
+        self.phi[:, 0] = 1.0 / np.sqrt(span)
+        np.cos(arg, out=self.phi[:, 1::2])
+        np.sin(arg, out=self.phi[:, 2::2])
+        self.phi[:, 1:] *= np.sqrt(2.0 / span)
         self.phi.setflags(write=False)
 
     def gram(self):

@@ -25,13 +25,15 @@ class PipelineContext:
 
 def make_context(spec, n):
     """Everything a cell reuses, with the penalty delta_n of default_delta;
-    S must pass the stability check."""
+    S must pass the stability check.  Once the partition has checked n, S is
+    certified and evaluated first: its FFT is the context's largest transient,
+    so it runs before the basis and the grid are held."""
     part = seq.compute_partition(n, spec.a, spec.b)
-    basis = fb.TrigBasis(spec.a, spec.b, part.d)
-    grid = sel.build_weight_grid(n, spec.a, spec.b)
     validate_stability(spec, n)
-    return PipelineContext(spec=spec, S_design=signal_values_uniform(spec, n), part=part,
-                           basis=basis, grid=grid, delta=sel.default_delta(n))
+    S_design = signal_values_uniform(spec, n)
+    return PipelineContext(spec=spec, S_design=S_design, part=part,
+                           basis=fb.TrigBasis(spec.a, spec.b, part.d),
+                           grid=sel.build_weight_grid(n, spec.a, spec.b), delta=sel.default_delta(n))
 
 
 @dataclass(frozen=True)

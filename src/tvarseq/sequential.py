@@ -8,8 +8,11 @@ resulting ratio estimate has conditional variance exactly 1/H_l.
 
 build_regression gathers each window once, as the row y_{k1-1}, y_{k1}, ...
 of one common width, and each formula reads a fixed column slice of it: one
-row, or the stack of all d rows at once.  A row runs on into the next window
-(the windows are adjacent), but no formula reads past its own window's end.
+row, or a stack of rows at once.  A row runs on into the next window (the
+windows are adjacent), but no formula reads past its own window's end.  The
+windows are gathered and run a group at a time, the windows over about
+signals.GROUP_BYTES of the path, and each point's columns are joined at the
+end; a path of at most GROUP_BYTES / 8 steps is one group.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +21,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import signals
 from .signals import ValidationError, _check_span
 
 
@@ -178,7 +182,7 @@ def _sample(part, *columns):
 
 
 def build_regression(traj, part):
-    """Both stages at every grid point, each formula applied once to all d windows.
+    """Both stages at every grid point, each formula applied to a group of windows at once.
 
     S*_l is zeroed at points whose stopping rule only terminates at the forced
     boundary; the other points stay informative.  gamma_all records the global
@@ -186,16 +190,27 @@ def build_regression(traj, part):
     """
     if traj.n != part.n:
         raise ValidationError("trajectory and partition disagree on n")
-    # window l is the row y_{k1-1}..; the last window is short, so its row
-    # runs past y_n into the zero padding
-    w, q = int(np.max(part.k2 - part.k1)) + 2, part.q_pre
-    rows = sliding_window_view(np.append(traj.y, np.zeros(w)), w)[part.k1 - 1]
+    w = int(np.max(part.k2 - part.k1)) + 2  # window l is the row y_{k1-1}..
+    per = -(-signals.GROUP_BYTES * part.d // (8 * part.n))  # windows per group
+    groups = [_stages(traj.y, part, w, slice(l, l + per)) for l in range(0, part.d, per)]
+    # one group, as every path of at most GROUP_BYTES / 8 steps is, needs no join
+    return _sample(part, *(groups[0] if len(groups) == 1 else map(np.concatenate, zip(*groups))))
+
+
+def _stages(y, part, w, g):
+    """Both stages at the grid points of slice g, from rows of width w gathered from y;
+    returns the columns after l, in POINT_FIELDS order."""
+    k1, k2, iota, q = part.k1[g], part.k2[g], part.iota[g], part.q_pre
+    lo, hi = k1[0] - 1, k1[-1] - 1 + w
+    # the last window is short, so its row runs past y_n into zero padding
+    seg = y[lo:hi] if hi <= len(y) else np.append(y[lo:], np.zeros(hi - len(y)))
+    rows = sliding_window_view(seg, w)[k1 - k1[0]]
     s_pre = project_estimate(preliminary_estimate(rows[:, :q + 1], rows[:, 1:q + 2]), part.n)
-    H = threshold(s_pre, part.k2, part.iota, part.n)
+    H = threshold(s_pre, k2, iota, part.n)
     x = rows[:, q + 1:]  # y_iota, y_{iota+1}, ...
-    step, kappa, gamma = run_stopping_rule(x, part.k2 - part.iota - 1, H)
+    step, kappa, gamma = run_stopping_rule(x, k2 - iota - 1, H)
     s_star = sequential_estimate(x, H, step, kappa, gamma)
-    return _sample(part, s_pre, H, part.iota + 1 + step, kappa, gamma, s_star, 1.0 / H)
+    return s_pre, H, iota + 1 + step, kappa, gamma, s_star, 1.0 / H
 
 
 def noiseless_regression(part, S_grid):

@@ -15,6 +15,8 @@ import numpy as np
 S2_SERIES_CUTOFF = 100000
 _CERT_SLACK = 1e-3          # certificate slack slope_u/(2N) as a share of eps
 _CERT_MAX_POINTS = 1 << 20  # cap on the certification grid
+# the scan and the window gather run on groups of about this many bytes per array
+GROUP_BYTES = 1 << 21
 
 _SIGNAL_KINDS = ("closed_form_S1", "closed_form_S2", "series", "tabulated")
 _NOISE_FAMILIES = ("gaussian_std", "uniform_unit_variance", "bounded_symmetric", "none")
@@ -134,8 +136,14 @@ def signal_values_uniform(spec, N):
 def _series_values(c0, A, B, N):
     """The series c0 + sum_m A_m cos(2 pi m u) + B_m sin(2 pi m u) at u = i/N, i = 0..N."""
     k = np.arange(1, len(A) + 1) % N
-    vals = c0 + np.fft.fft(np.bincount(k, A, N) + 1j * np.bincount(k, B, N)).real
-    return np.append(vals, vals[0])  # u = 1 wraps to u = 0
+    spec = np.empty(N, complex)
+    spec.real = np.bincount(k, A, N)
+    spec.imag = np.bincount(k, B, N)
+    np.fft.fft(spec, out=spec)
+    vals = np.empty(N + 1)
+    np.add(c0, spec.real, out=vals[:N])
+    vals[N] = vals[0]  # u = 1 wraps to u = 0
+    return vals
 
 
 def validate_stability(spec, n):
@@ -263,33 +271,58 @@ def generate_trajectory(spec, noise, n, seed, signal_values=None):
     s = np.asarray(signal_values, dtype=float)
     if s.shape != (n + 1,):
         raise ValidationError(f"signal_values must have length n+1={n + 1}")
-    xi = noise.draw(np.random.default_rng(seed), n)
-    return Trajectory(n=n, a=spec.a, b=spec.b, y=np.append(0.0, _linear_scan(s[1:], xi)))
+    rng = np.random.default_rng(seed)
+    return Trajectory(n=n, a=spec.a, b=spec.b, y=_linear_scan(s, lambda m: noise.draw(rng, m)))
 
 
-def _linear_scan(s, xi):
-    """y_j = s_j y_{j-1} + xi_j from y_0 = 0, as a two-level scan (Blelloch 1990).
+def _linear_scan(s, draw):
+    """y_j = s_j y_{j-1} + xi_j for j = 1..n from y_0 = 0, as a two-level scan (Blelloch 1990).
 
+    s holds s_0..s_n (s_0 is unused); draw(m) gives the next m noise values.
     The steps are cut into blocks of w = [sqrt(n)].  The recurrence runs from 0
     in every block at once, one column at a time, giving z; a scalar loop over
-    the blocks carries the value c_b that each block starts from; then
-    y = z + c_b * (running product of s within the block).  The first block is
+    the blocks carries the value c that each block starts from; then
+    y = z + c * (running product of s within the block).  The first block is
     the plain recurrence; later ones differ from it by rounding only.
+
+    Every block is independent but for its carry, so the blocks run a group at
+    a time, about GROUP_BYTES per array, and c runs on across the groups.  The
+    noise is drawn one group at a time from the one generator, which gives the
+    values of one draw.  A path of at most GROUP_BYTES / 8 steps is one group.
     """
-    n = len(xi)
+    n = len(s) - 1
     w = math.isqrt(n)
-    blocks = -(-n // w)
-    pad = blocks * w - n
-    # column i of the (w, blocks) arrays holds block i: rows are in-block steps
-    s = np.append(s, np.ones(pad)).reshape(blocks, w).T
-    z = np.ascontiguousarray(np.append(xi, np.zeros(pad)).reshape(blocks, w).T)
+    per = w * -(-GROUP_BYTES // (8 * w))  # steps per group: whole blocks
+    y = np.empty(n + 1)
+    y[0] = c = 0.0
+    for start in range(1, n + 1, per):
+        c = _scan_group(s[start:start + per], draw(min(per, n + 1 - start)), w, c,
+                        y[start:start + per])
+    return y
+
+
+def _scan_group(s, xi, w, c, out):
+    """The two-level scan over one group of blocks from carry c, into out; returns
+    the carry after the group."""
+    m = len(xi)
+    blocks = -(-m // w)
+    pad = blocks * w - m
+    # column i of the (w, blocks) arrays holds block i: rows are in-block steps;
+    # only the last group is padded
+    if pad:
+        s, xi = np.append(s, np.ones(pad)), np.append(xi, np.zeros(pad))
+    s = s.reshape(blocks, w).T
+    z = np.ascontiguousarray(xi.reshape(blocks, w).T)
     for r in range(1, w):
         z[r] += s[r] * z[r - 1]
     prod = np.cumprod(s, axis=0)
-    carry, c = [], 0.0
+    carry = []
     for z_end, p_end in zip(z[-1].tolist(), prod[-1].tolist()):
         carry.append(c)
         c = z_end + c * p_end
     prod *= carry
     z += prod
-    return z.T.reshape(-1)[:n]
+    full = m // w  # blocks written in full; a padded last block gives its head
+    out[:full * w].reshape(full, w)[...] = z.T[:full]
+    out[full * w:] = z[:m - full * w, -1]
+    return c

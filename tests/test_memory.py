@@ -1,0 +1,46 @@
+"""Peak traced memory of the large-n layers at n = 10^6: no full-size transients."""
+
+import gc
+import tracemalloc
+
+import pytest
+
+import tvarseq as tv
+from tvarseq.pipeline import make_context
+from tvarseq.sequential import build_regression
+from tvarseq.signals import generate_trajectory, signal_values_uniform
+
+N = 10 ** 6
+
+# Ceilings in MiB of memory traced during the call.  One more n-float (7.6 MiB)
+# transient in any layer breaks its ceiling.  Measured with numpy 2.4 (S1 / S2):
+#   signal_values_uniform  23.0 / 25.2   (the FFT's spectrum and the result)
+#   make_context           22.9 / 25.2   (the same FFT, run first)
+#   generate_trajectory    14.4 / 13.7   (the path and one group's arrays)
+#   build_regression        5.1 /  5.1   (one group of windows)
+CEILING_MIB = {"signal_values_uniform": 28.0, "make_context": 28.0,
+               "generate_trajectory": 20.0, "build_regression": 10.0}
+
+
+def traced_peak_mib(fn, *args, **kwargs):
+    """fn's result and the peak memory, in MiB, that tracemalloc traced during it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec", [tv.signal_s1(), tv.signal_s2()], ids=["S1", "S2"])
+def test_large_n_layers_hold_no_full_size_transient(spec, gaussian):
+    _, svu = traced_peak_mib(signal_values_uniform, spec, N)
+    ctx, context = traced_peak_mib(make_context, spec, N)
+    traj, path = traced_peak_mib(generate_trajectory, spec, gaussian, N, 7,
+                                 signal_values=ctx.S_design)
+    _, regression = traced_peak_mib(build_regression, traj, ctx.part)
+    peaks = {"signal_values_uniform": svu, "make_context": context,
+             "generate_trajectory": path, "build_regression": regression}
+    over = {k: round(v, 1) for k, v in peaks.items() if not v <= CEILING_MIB[k]}
+    assert not over, f"traced peaks over their ceilings {CEILING_MIB}: {over}"

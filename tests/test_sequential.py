@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import tvarseq as tv
+from tvarseq import signals
 from tvarseq.sequential import (
     MU0,
     build_regression,
@@ -18,7 +20,7 @@ from tvarseq.sequential import (
     sequential_estimate,
     threshold,
 )
-from tvarseq.signals import ValidationError, generate_trajectory, replication_seed
+from tvarseq.signals import NoiseSpec, ValidationError, generate_trajectory, replication_seed
 
 
 class TestPartition:
@@ -217,6 +219,22 @@ class TestPipelineInvariants:
 
 
 class TestBuildRegression:
+    @pytest.mark.parametrize("family", ["gaussian_std", "uniform_unit_variance",
+                                        "bounded_symmetric"])
+    @pytest.mark.parametrize("per", [1, 7])
+    def test_window_groups_keep_every_bit(self, family, per, monkeypatch):
+        # n = 10007 has d = 101 windows: groups of 1 or 7 windows, the last
+        # group of 1 or 3 padded past y_n
+        n = 10_007
+        part = compute_partition(n)
+        traj = generate_trajectory(tv.signal_s2(), NoiseSpec(family), n, 4)
+        whole = build_regression(traj, part)
+        monkeypatch.setattr(signals, "GROUP_BYTES", 8 * n * per // part.d)
+        grouped = build_regression(traj, part)
+        assert grouped.points.tobytes() == whole.points.tobytes()
+        assert grouped.points.dtype == whole.points.dtype
+        assert grouped.gamma_all == whole.gamma_all
+
     def test_gating_modes(self, s1, gaussian, ctx_1000):
         traj = generate_trajectory(s1, gaussian, 1000, replication_seed(3, 1),
                                    signal_values=ctx_1000.S_design)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tvarseq as tv
+from tvarseq import signals
 from tvarseq.signals import (
     NoiseSpec,
     SignalSpec,
@@ -226,6 +227,33 @@ def test_scan_matches_scalar_recurrence(case):
     assert np.max(np.abs(traj.y - y)) <= 1e-12 * np.max(np.abs(y))
     if noise.family == "none":
         assert np.all(traj.y == 0.0)
+
+
+ADMISSIBLE = [NoiseSpec("gaussian_std"), NoiseSpec("uniform_unit_variance"),
+              NoiseSpec("bounded_symmetric")]
+
+
+@pytest.mark.parametrize("noise", ADMISSIBLE, ids=lambda noise: noise.family)
+def test_draw_in_uneven_chunks_is_one_draw(noise):
+    # the scan draws its noise a group at a time from the one generator
+    one = noise.draw(np.random.default_rng(5), 10_007)
+    rng = np.random.default_rng(5)
+    cuts = [0, 1, 100, 101, 3_000, 9_999, 10_007]
+    chunks = [noise.draw(rng, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+    assert np.concatenate(chunks).tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("noise", ADMISSIBLE, ids=lambda noise: noise.family)
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("spec", [tv.signal_s1(), tv.signal_s2()], ids=["S1", "S2"])
+def test_scan_groups_keep_every_bit(spec, blocks, noise, monkeypatch):
+    # n = 10007 has blocks of w = 100 steps and a last block of 7: with 1 or 3
+    # blocks per group the path is 101 or 34 groups, the last one padded
+    n, w = 10_007, 100
+    s = signal_values_uniform(spec, n)
+    whole = generate_trajectory(spec, noise, n, 3, signal_values=s).y
+    monkeypatch.setattr(signals, "GROUP_BYTES", 8 * w * blocks)
+    assert generate_trajectory(spec, noise, n, 3, signal_values=s).y.tobytes() == whole.tobytes()
 
 
 def random_series(rng, a=-1.0, b=2.0, n_freq=40, eps=0.5):
