@@ -7,7 +7,7 @@ against the sharp minimax bound.
 """
 
 from .basis import FourierCoeffs, TrigBasis, fourier_coefficients, trig_fn
-from .beta import BetaEstimate, beta_error, project_coefficients
+from .beta import beta_error, project_coefficients
 from .harness import CellResult, RiskReport, run_cell, run_table
 from .pipeline import EstimateResult, estimate_signal, make_context
 from .selection import (SelectionResult, WeightGrid, build_weight_grid, criterion,
@@ -18,6 +18,6 @@ from .sequential import (GridPartition, RegressionSample, build_regression,
                          threshold)
 from .signals import (NoiseSpec, SignalSpec, Trajectory, generate_trajectory,
                       replication_seed, signal_s1, signal_s2, validate_stability)
-from .theory import EfficiencyReport, efficiency_ratio, pinsker_constant, sigma_star, upsilon
+from .theory import efficiency_ratio, pinsker_constant, sigma_star, upsilon
 
 __version__ = "0.1.0"

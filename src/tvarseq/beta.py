@@ -7,22 +7,11 @@ i_max truncation, so the coefficient error inherits the oracle properties of
 the function estimate.
 """
 
-from dataclasses import dataclass, field
 import math
 
 import numpy as np
 
 from .signals import ValidationError
-
-
-@dataclass(frozen=True)
-class BetaEstimate:
-    """Projected coefficients beta_hat_i, i = 1..i_max."""
-
-    coefficients: np.ndarray = field(repr=False)
-    i_max: int = 0
-    a: float = 0.0
-    b: float = 1.0
 
 
 def _cell_integrals(i_max, d, a, b):
@@ -41,7 +30,7 @@ def _cell_integrals(i_max, d, a, b):
 
 
 def project_coefficients(S_star, a, b, i_max=None):
-    """beta_hat_i = integral of psi_i * S_star over [a, b].
+    """beta_hat_i = integral of psi_i * S_star over [a, b], for i = 1..i_max.
 
     S_star holds the step-function values on the cells ]z_{l-1}, z_l] of the
     estimation grid (length d); the cell integrals of the trigonometric psi
@@ -54,13 +43,12 @@ def project_coefficients(S_star, a, b, i_max=None):
     if i_max < 1:
         raise ValidationError("need i_max >= 1")
     W = _cell_integrals(i_max, d, a, b)
-    return BetaEstimate(coefficients=W @ S_star, i_max=i_max, a=a, b=b)
+    return W @ S_star
 
 
 def beta_error(estimate, true_beta):
     """Squared l2 distance sum_i (beta_hat_i - beta_i)^2 over the support union."""
-    est = np.asarray(estimate.coefficients if isinstance(estimate, BetaEstimate)
-                     else estimate, dtype=float)
+    est = np.asarray(estimate, dtype=float)
     tru = np.asarray(true_beta, dtype=float)
     width = max(len(est), len(tru))
     e = np.zeros(width)

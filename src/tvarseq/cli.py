@@ -143,14 +143,14 @@ def cmd_pinsker(args):
 def cmd_beta(args):
     spec, res, run_cfg = _run_estimate(args)
     i_max = res.context.part.d if args.i_max is None else args.i_max
-    est = beta_mod.project_coefficients(res.selection.S_star, spec.a, spec.b, i_max)
+    beta_hat = beta_mod.project_coefficients(res.selection.S_star, spec.a, spec.b, i_max)
     run_cfg["i_max"] = args.i_max  # as given: None stands for d
     out = ensure_out(args.out)
     path = os.path.join(out, "beta.csv")
-    write_csv(path, run_cfg, {"i": range(1, i_max + 1), "beta_hat_i": est.coefficients})
+    write_csv(path, run_cfg, {"i": range(1, i_max + 1), "beta_hat_i": beta_hat})
     payload = {"i_max": i_max}
     if spec.kind == "series":
-        payload["l2_error"] = beta_mod.beta_error(est, spec.coefficients)
+        payload["l2_error"] = beta_mod.beta_error(beta_hat, spec.coefficients)
     write_json(os.path.join(out, "beta.json"), run_cfg, payload)
     print(path)
     return EXIT_OK
@@ -179,7 +179,7 @@ def build_parser():
         add(name).add_argument("--n", type=int, default=500)
     parsers["beta"].add_argument("--i-max", type=int, dest="i_max")
 
-    # a noise-free risk table is degenerate: every replication is the same
+    # no "none": harness._cell rejects a noise-free cell, whose replications are all one run
     p = add("risk-table", noises=("gaussian", "uniform", "all"), help="Monte-Carlo risk tables")
     p.add_argument("--n", type=_int_list, default="200,500", help="comma list of sample sizes")
     p.add_argument("--M", type=int, default=50)

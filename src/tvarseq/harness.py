@@ -71,6 +71,8 @@ def _cell(ctx, noise, M, base_seed, signal_id, t0):
     """The M replications of one cell on its fixed inputs; wall_time counts from t0."""
     if M < 1:
         raise ValidationError("need M >= 1")
+    if noise.family == "none":
+        raise ValidationError("a noise-free risk cell is degenerate: every replication is the same")
     n, d = ctx.part.n, ctx.part.d
     span = ctx.spec.b - ctx.spec.a
     S_grid = pl.signal_values_on_grid(ctx.spec, ctx.part)

@@ -3,7 +3,8 @@
 The observation model is y_j = S(x_j) * y_{j-1} + xi_j on design points
 x_j = a + (b-a)*j/n.  S must lie in the stability set: |S| <= 1 - eps and
 |S'| <= L on [a, b].  The noise is zero mean, unit variance, with factorially
-bounded even moments E|xi|^{2l} <= l! * varsigma^l.
+bounded even moments E|xi|^{2l} <= l! * varsigma^l: Gaussian or uniform here,
+the robust risk being the max over the two.
 """
 
 from dataclasses import dataclass, field
@@ -19,21 +20,14 @@ _CERT_MAX_POINTS = 1 << 20  # cap on the certification grid
 GROUP_BYTES = 1 << 21
 
 _SIGNAL_KINDS = ("closed_form_S1", "closed_form_S2", "series", "tabulated")
-_NOISE_FAMILIES = ("gaussian_std", "uniform_unit_variance", "bounded_symmetric", "none")
+# each family's smallest varsigma for which E|xi|^{2l} <= l! varsigma^l holds
+_NOISE_VARSIGMA = {"gaussian_std": 2.0, "uniform_unit_variance": 3.0, "none": 1.0}
 
 
 class ValidationError(ValueError):
     """Bad input: a spec, an argument or a combination of them breaks a declared invariant.
 
     It is the one error class the package raises on purpose."""
-
-
-def _from_dict(cls, cfg):
-    """cls from a JSON object (lists become tuples); a bad or missing key is named."""
-    try:
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in dict(cfg).items()})
-    except TypeError as exc:
-        raise ValidationError(f"bad {cls.__name__}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,13 @@ class SignalSpec:
             cfg["values"] = list(self.values)
         return cfg
 
-    from_dict = classmethod(_from_dict)
+    @classmethod
+    def from_dict(cls, cfg):
+        """A spec from a JSON object (lists become tuples); a bad or missing key is named."""
+        try:
+            return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in dict(cfg).items()})
+        except TypeError as exc:
+            raise ValidationError(f"bad {cls.__name__}: {exc}") from None
 
     @classmethod
     def from_file(cls, path):
@@ -89,17 +89,17 @@ class SignalSpec:
             return cls.from_dict(json.load(fh))
 
 
-def signal_s1(stability_eps=0.4):
+def signal_s1():
     """S(x) = 0.5 * cos(2*pi*x) on [0, 1]."""
     return SignalSpec(kind="closed_form_S1", a=0.0, b=1.0,
-                      stability_eps=stability_eps, lipschitz_L=1.1 * np.pi)
+                      stability_eps=0.4, lipschitz_L=1.1 * np.pi)
 
 
-def signal_s2(stability_eps=0.5):
+def signal_s2():
     """S(x) = 0.1 + sum_{j<=100000} cos(2*pi*j*x)/(j+3)^2 on [0, 1]."""
     # |S2'| <= 2*pi*sum j/(j+3)^2 = 59.1; leave headroom
     return SignalSpec(kind="closed_form_S2", a=0.0, b=1.0,
-                      stability_eps=stability_eps, lipschitz_L=70.0)
+                      stability_eps=0.5, lipschitz_L=70.0)
 
 
 def trig_amplitudes(spec):
@@ -175,54 +175,31 @@ def validate_stability(spec, n):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """An i.i.d. noise family: zero mean, unit variance, bounded even moments.
+    """An i.i.d. noise law: gaussian_std, uniform_unit_variance or none.
 
     family "none" injects xi = 0 exactly (the noise-free limit, not a member
-    of the admissible class).  bounded_symmetric draws radius*(2*B - 1) with
-    B ~ Beta(s, s) and s = (radius^2-1)/2, which has unit variance; radius
-    sqrt(3) recovers the uniform law.
+    of the admissible class).  varsigma is read off the family.
     """
 
     family: str
-    varsigma: float = None
-    radius: float = math.sqrt(6.0)
 
     def __post_init__(self):
-        if self.family not in _NOISE_FAMILIES:
-            raise ValidationError(f"unknown noise family {self.family!r}; valid: {_NOISE_FAMILIES}")
-        if self.varsigma is None:
-            object.__setattr__(self, "varsigma", self.default_varsigma())
-        if not np.isfinite(np.array([self.varsigma, self.radius], float)).all():
-            raise ValidationError("varsigma and radius must be finite (no NaN or inf)")
-        if self.family != "none" and self.varsigma < 1.0:
-            raise ValidationError("varsigma must be >= 1")
-        if self.family == "bounded_symmetric" and self.radius <= 1.0:
-            raise ValidationError("bounded_symmetric needs radius > 1 for unit variance")
+        if self.family not in _NOISE_VARSIGMA:
+            raise ValidationError(f"unknown noise family {self.family!r}; valid: {[*_NOISE_VARSIGMA]}")
 
-    def default_varsigma(self):
-        # smallest varsigma for which E|xi|^{2l} <= l! varsigma^l holds per family
-        return {"gaussian_std": 2.0,
-                "uniform_unit_variance": 3.0,
-                "bounded_symmetric": max(self.radius ** 2, 1.0),
-                "none": 1.0}[self.family]
+    @property
+    def varsigma(self):
+        return _NOISE_VARSIGMA[self.family]
 
     def draw(self, rng, size):
         if self.family == "gaussian_std":
             return rng.standard_normal(size)
         if self.family == "uniform_unit_variance":
             return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size)
-        if self.family == "bounded_symmetric":
-            s = (self.radius ** 2 - 1.0) / 2.0
-            return self.radius * (2.0 * rng.beta(s, s, size) - 1.0)
         return np.zeros(size)
 
     def to_dict(self):
-        cfg = {"family": self.family, "varsigma": self.varsigma}
-        if self.family == "bounded_symmetric":
-            cfg["radius"] = self.radius
-        return cfg
-
-    from_dict = classmethod(_from_dict)
+        return {"family": self.family, "varsigma": self.varsigma}
 
 
 @dataclass(frozen=True)

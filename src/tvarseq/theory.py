@@ -7,7 +7,6 @@ constant divides it by upsilon(S) = ((b-a) * sigma_star(S))^{-2k/(2k+1)} with
 sigma_star(S) = integral of 1 - S^2 over [a, b].
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -55,35 +54,13 @@ def upsilon(spec, k):
     return scale ** (-2.0 * k / (2 * k + 1))
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
-    """Normalized empirical risk against the sharp minimax bound."""
-
-    signal_id: str
-    k: int
-    r: float
-    n: int
-    sigma_star: float
-    upsilon: float
-    pinsker: float
-    rate: float
-    normalized_risk: float
-    ratio: float
-
-
-def efficiency_ratio(rbar, spec, k, r, n, signal_id=""):
-    """Compare a Monte-Carlo risk to the sharp bound.
+def efficiency_ratio(rbar, spec, k, r, n):
+    """Compare a Monte-Carlo risk to the sharp bound: (normalized risk, its ratio to l_k(r)).
 
     rbar is a risk in the empirical norm ||.||_d^2 on [a, b], as a cell reports
-    it; the rate and upsilon(S) normalize it.
-    The ratio to l_k(r) is a diagnostic: O(1) and shrinking toward the bound
+    it; the rate n^{2k/(2k+1)} and upsilon(S) normalize it.
+    The ratio is a diagnostic: O(1) and shrinking toward the bound
     as n grows, with no sharp finite-n target.
     """
-    ss = sigma_star(spec)
-    ups = upsilon(spec, k)
-    rate = float(n) ** (2.0 * k / (2 * k + 1))
-    lk = pinsker_constant(k, r)
-    normalized = rate * ups * rbar
-    return EfficiencyReport(signal_id=signal_id, k=k, r=r, n=n, sigma_star=ss,
-                            upsilon=ups, pinsker=lk, rate=rate,
-                            normalized_risk=normalized, ratio=normalized / lk)
+    normalized = float(n) ** (2.0 * k / (2 * k + 1)) * upsilon(spec, k) * rbar
+    return normalized, normalized / pinsker_constant(k, r)

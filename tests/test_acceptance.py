@@ -280,14 +280,13 @@ def test_criterion_09_beta_recovery(gaussian):
 
     res0 = estimate_signal(ctx, NoiseSpec("none"), 0)
     est0 = project_coefficients(res0.selection.S_star, 0.0, 1.0, i_max=d)
-    e2 = abs(est0.coefficients[1] - 0.3)
-    e5 = abs(est0.coefficients[4] - 0.1)
+    e2 = abs(est0[1] - 0.3)
+    e5 = abs(est0[4] - 0.1)
     ok_noiseless = e2 < 2.0 / d and e5 < 2.0 / d
 
     res = estimate_signal(ctx, gaussian, replication_seed(BASE_SEED, 1))
     i_max = 4000
-    est = project_coefficients(res.selection.S_star, 0.0, 1.0, i_max=i_max)
-    bhat = est.coefficients
+    bhat = project_coefficients(res.selection.S_star, 0.0, 1.0, i_max=i_max)
     btru = np.zeros(i_max)
     btru[:5] = beta_true
     coeff_err = float((bhat - btru) @ (bhat - btru))

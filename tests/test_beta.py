@@ -19,12 +19,13 @@ def quadrature_cell_integrals(i_max, d, a, b, points=32):
 class TestProjection:
     def test_constant_estimate(self):
         est = project_coefficients(np.full(15, 0.7), 0.0, 1.0, i_max=10)
-        assert est.coefficients[0] == pytest.approx(0.7, abs=1e-12)
-        assert np.max(np.abs(est.coefficients[1:])) < 1e-12
+        assert est.shape == (10,)
+        assert est[0] == pytest.approx(0.7, abs=1e-12)
+        assert np.max(np.abs(est[1:])) < 1e-12
 
     def test_zero_estimate(self):
         est = project_coefficients(np.zeros(15), 0.0, 1.0, i_max=10)
-        assert np.all(est.coefficients == 0.0)
+        assert np.all(est == 0.0)
 
     def test_linearity(self, rng):
         d, i_max = 21, 12
@@ -32,23 +33,23 @@ class TestProjection:
         v = rng.normal(size=d)
         a, b = 0.7, -1.3
         combo = project_coefficients(a * u + b * v, 0.0, 1.0, i_max=i_max)
-        parts = (a * project_coefficients(u, 0.0, 1.0, i_max=i_max).coefficients
-                 + b * project_coefficients(v, 0.0, 1.0, i_max=i_max).coefficients)
-        np.testing.assert_allclose(combo.coefficients, parts, atol=1e-12)
+        parts = (a * project_coefficients(u, 0.0, 1.0, i_max=i_max)
+                 + b * project_coefficients(v, 0.0, 1.0, i_max=i_max))
+        np.testing.assert_allclose(combo, parts, atol=1e-12)
 
     def test_closed_form_matches_quadrature(self, rng):
         d, i_max = 15, 8
         S_star = rng.normal(size=d)
         exact = project_coefficients(S_star, 0.0, 1.0, i_max=i_max)
         quad = quadrature_cell_integrals(i_max, d, 0.0, 1.0) @ S_star
-        np.testing.assert_allclose(exact.coefficients, quad, atol=1e-12)
+        np.testing.assert_allclose(exact, quad, atol=1e-12)
 
     def test_bessel(self, rng):
         d = 31
         S_star = rng.normal(size=d)
         est = project_coefficients(S_star, 0.0, 1.0, i_max=200)
         norm2 = float(S_star @ S_star) / d  # L2 norm of the step function
-        assert float(est.coefficients @ est.coefficients) <= norm2 + 1e-9
+        assert float(est @ est) <= norm2 + 1e-9
 
     def test_i_max_validation(self):
         with pytest.raises(ValueError):
@@ -80,5 +81,5 @@ def test_noiseless_series_recovery():
     res = estimate_signal(ctx, NoiseSpec("none"), 0)
     d = ctx.part.d
     est = project_coefficients(res.selection.S_star, 0.0, 1.0, i_max=d)
-    assert abs(est.coefficients[1] - 0.3) < 2.0 / d
-    assert abs(est.coefficients[4] - 0.1) < 2.0 / d
+    assert abs(est[1] - 0.3) < 2.0 / d
+    assert abs(est[4] - 0.1) < 2.0 / d

@@ -31,6 +31,15 @@ class TestRunCell:
         with pytest.raises(ValueError):
             run_cell(s1, gaussian, 200, 0, base_seed=1)
 
+    def test_noise_free_cell_rejected(self, s1, gaussian):
+        # the replications of a noise-free cell are all one run (Y = 0 at every
+        # point), so run_cell and run_table refuse it, as risk-table's --noise does
+        none = signals.NoiseSpec("none")
+        with pytest.raises(signals.ValidationError, match="noise-free"):
+            run_cell(s1, none, 200, 3, base_seed=0)
+        with pytest.raises(signals.ValidationError, match="noise-free"):
+            run_table(s1, [gaussian, none], [200], 3, base_seed=0)
+
     def test_cell_fields(self, s1, uniform_noise):
         c = run_cell(s1, uniform_noise, 200, 3, base_seed=5, signal_id="s1")
         assert c.noise_family == "uniform_unit_variance"

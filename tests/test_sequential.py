@@ -219,8 +219,7 @@ class TestPipelineInvariants:
 
 
 class TestBuildRegression:
-    @pytest.mark.parametrize("family", ["gaussian_std", "uniform_unit_variance",
-                                        "bounded_symmetric"])
+    @pytest.mark.parametrize("family", ["gaussian_std", "uniform_unit_variance"])
     @pytest.mark.parametrize("per", [1, 7])
     def test_window_groups_keep_every_bit(self, family, per, monkeypatch):
         # n = 10007 has d = 101 windows: groups of 1 or 7 windows, the last

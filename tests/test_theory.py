@@ -1,7 +1,5 @@
 """Pinsker constant and signal functionals."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -108,11 +106,13 @@ class TestEfficiencyReport:
             ups = upsilon(spec, k)
             # a hypothetical estimator meeting the bound exactly
             rbar = pinsker_constant(k, r) / (rate * ups)
-            rep = efficiency_ratio(rbar, spec, k, r, n)
-            assert rep.ratio == pytest.approx(1.0, abs=1e-10)
+            normalized, ratio = efficiency_ratio(rbar, spec, k, r, n)
+            assert normalized == pytest.approx(pinsker_constant(k, r), rel=1e-12)
+            assert ratio == pytest.approx(1.0, abs=1e-10)
 
     def test_report_fields(self, s1):
-        rep = efficiency_ratio(0.05, s1, 2, 1.0, 10000, signal_id="s1")
-        assert rep.sigma_star == pytest.approx(0.875, abs=1e-6)
-        assert rep.normalized_risk > 0
-        assert math.isfinite(rep.ratio)
+        # the normalized risk is rate * upsilon * rbar, and the ratio divides it by l_k(r)
+        k, r, n, rbar = 2, 1.0, 10000, 0.05
+        normalized, ratio = efficiency_ratio(rbar, s1, k, r, n)
+        assert normalized == float(n) ** (2.0 * k / (2 * k + 1)) * upsilon(s1, k) * rbar
+        assert ratio == normalized / pinsker_constant(k, r)
