@@ -29,7 +29,7 @@ def _cell_integrals(i_max, d, a, b):
     return W
 
 
-def project_coefficients(S_star, a, b, i_max=None):
+def project_coefficients(S_star, a, b, i_max):
     """beta_hat_i = integral of psi_i * S_star over [a, b], for i = 1..i_max.
 
     S_star holds the step-function values on the cells ]z_{l-1}, z_l] of the
@@ -37,12 +37,9 @@ def project_coefficients(S_star, a, b, i_max=None):
     are exact closed forms.
     """
     S_star = np.asarray(S_star, dtype=float)
-    d = len(S_star)
-    if i_max is None:
-        i_max = d
     if i_max < 1:
         raise ValidationError("need i_max >= 1")
-    W = _cell_integrals(i_max, d, a, b)
+    W = _cell_integrals(i_max, len(S_star), a, b)
     return W @ S_star
 
 

@@ -179,7 +179,7 @@ def build_parser():
         add(name).add_argument("--n", type=int, default=500)
     parsers["beta"].add_argument("--i-max", type=int, dest="i_max")
 
-    # no "none": harness._cell rejects a noise-free cell, whose replications are all one run
+    # no "none": harness.run_table rejects a noise-free cell, whose replications are all one run
     p = add("risk-table", noises=("gaussian", "uniform", "all"), help="Monte-Carlo risk tables")
     p.add_argument("--n", type=_int_list, default="200,500", help="comma list of sample sizes")
     p.add_argument("--M", type=int, default=50)

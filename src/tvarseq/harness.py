@@ -7,8 +7,8 @@ regression samples of a chunk of replications are then estimated together:
 one coefficient product and one pass over the weight grid per chunk, so the
 weight profiles are built once per chunk, not once per replication.  A
 chunk's (m, nu) criterion values take at most CHUNK_VALUES floats (8 MB).
-Squared errors and selections are aggregated in replication order, so a cell
-is reproducible bit-for-bit.
+Each replication's empirical error Er_d and selection are summed in replication
+order, so a cell is reproducible bit-for-bit.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +19,7 @@ import numpy as np
 
 from . import pipeline as pl
 from .io import write_csv, write_json
+from .selection import empirical_error
 from .signals import ValidationError, generate_trajectory, replication_seed
 from .sequential import build_regression
 
@@ -36,7 +37,7 @@ class CellResult:
     gamma_frequency: float
     mean_k: float
     mean_t: float
-    wall_time: float
+    wall_time: float  # seconds of this cell's replications and estimation, not its context
     z: np.ndarray = field(repr=False)
     S_grid: np.ndarray = field(repr=False)
     mean_estimate: np.ndarray = field(repr=False)
@@ -62,23 +63,19 @@ CHUNK_VALUES = 2 ** 20
 
 
 def run_cell(spec, noise, n, M, base_seed, signal_id=""):
-    """Monte-Carlo risk for one cell: R_bar, R_bar_star, Gamma frequency."""
+    """Monte-Carlo risk for one cell: a run_table of one n and one noise family."""
+    return run_table(spec, [noise], [n], M, base_seed, signal_id).cells[0]
+
+
+def _cell(ctx, noise, M, base_seed, signal_id):
+    """The M replications of one cell on fixed inputs that run_table has checked."""
     t0 = time.perf_counter()
-    return _cell(pl.make_context(spec, n), noise, M, base_seed, signal_id, t0)
-
-
-def _cell(ctx, noise, M, base_seed, signal_id, t0):
-    """The M replications of one cell on its fixed inputs; wall_time counts from t0."""
-    if M < 1:
-        raise ValidationError("need M >= 1")
-    if noise.family == "none":
-        raise ValidationError("a noise-free risk cell is degenerate: every replication is the same")
     n, d = ctx.part.n, ctx.part.d
-    span = ctx.spec.b - ctx.spec.a
+    a, b = ctx.spec.a, ctx.spec.b
     S_grid = pl.signal_values_on_grid(ctx.spec, ctx.part)
-    norm_n = span * float(ctx.S_design[1:] @ ctx.S_design[1:]) / n  # ||S||_n^2 on [a, b]
+    norm_n = (b - a) * float(ctx.S_design[1:] @ ctx.S_design[1:]) / n  # ||S||_n^2 on [a, b]
 
-    sq_err = np.zeros(d)
+    err_sum = 0.0
     mean_est = np.zeros(d)
     gamma_count = 0
     k_sum = 0.0
@@ -99,13 +96,12 @@ def _cell(ctx, noise, M, base_seed, signal_id, t0):
             gamma_count += int(reg.gamma_all)
         _, chosen = pl.estimate_from_sample(ctx, Y[:m], sigma2[:m])
         for S_star, (k, t) in zip(chosen.S_star, chosen.alpha_hat):
-            diff = S_star - S_grid
-            sq_err += diff * diff
+            err_sum += empirical_error(S_grid, S_star, a, b, d)
             mean_est += S_star
             k_sum += k
             t_sum += t
 
-    rbar = span * float(np.mean(sq_err / M))  # ||S_star - S||_d^2 on [a, b], as empirical_error
+    rbar = err_sum / M
     return CellResult(signal_id=signal_id, n=n, noise_family=noise.family, M=M,
                       rbar=rbar, rbar_star=rbar / norm_n,
                       gamma_frequency=gamma_count / M,
@@ -115,19 +111,28 @@ def _cell(ctx, noise, M, base_seed, signal_id, t0):
 
 
 def run_table(spec, noise_specs, n_list, M, base_seed, signal_id=""):
-    """One cell per (n, noise family), one context per n; robust column is the max over families."""
+    """One cell per (n, noise family), one context per n; robust column is the max over families.
+
+    Every input is checked before the first context is built.
+    """
     if not n_list or not noise_specs:
         raise ValidationError("need nonempty n_list and noise set")
     if len(set(n_list)) != len(n_list):
         raise ValidationError(f"repeated sample size in n_list {list(n_list)}")
+    if len(set(noise_specs)) != len(noise_specs):
+        raise ValidationError(f"repeated noise family in {[nz.family for nz in noise_specs]}")
+    if M < 1:
+        raise ValidationError("need M >= 1")
+    if base_seed < 0:
+        raise ValidationError(f"need base_seed >= 0, got {base_seed}")
+    if any(noise.family == "none" for noise in noise_specs):
+        raise ValidationError("a noise-free risk cell is degenerate: every replication is the same")
     cells = []
     for n in n_list:
         ctx = pl.make_context(spec, n)
-        for noise in noise_specs:
-            cells.append(_cell(ctx, noise, M, base_seed, signal_id, time.perf_counter()))
-    robust = {}
-    for c in cells:
-        robust[c.n] = max(robust.get(c.n, 0.0), c.rbar)
+        cells.extend(_cell(ctx, noise, M, base_seed, signal_id) for noise in noise_specs)
+        del ctx  # free this n's context before the next one is built
+    robust = {n: max(c.rbar for c in cells if c.n == n) for n in n_list}
     return RiskReport(cells=tuple(cells), base_seed=base_seed, robust=robust)
 
 

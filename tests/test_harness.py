@@ -28,7 +28,7 @@ class TestRunCell:
         assert c1.rbar != c2.rbar
 
     def test_m_validation(self, s1, gaussian):
-        with pytest.raises(ValueError):
+        with pytest.raises(signals.ValidationError):
             run_cell(s1, gaussian, 200, 0, base_seed=1)
 
     def test_noise_free_cell_rejected(self, s1, gaussian):
@@ -83,6 +83,29 @@ class TestRunTable:
         with pytest.raises(ValueError, match="repeated sample size"):
             run_table(s1, [gaussian], [200, 500, 200], M=2, base_seed=1)
 
+    def test_rejected_inputs_build_no_context(self, s1, s2, gaussian, monkeypatch):
+        # a bad input fails at once, not after a context (0.1 s at n = 10^6) or
+        # the cells of an earlier n are built
+        calls = []
+        make_context = pl.make_context
+
+        def counted(*args):
+            calls.append(args)
+            return make_context(*args)
+
+        monkeypatch.setattr(pl, "make_context", counted)
+        none = signals.NoiseSpec("none")
+        rejected = [
+            lambda: run_cell(s2, gaussian, 10**6, 0, base_seed=0),
+            lambda: run_table(s2, [gaussian, none], [70000, 200], 50, base_seed=0),
+            lambda: run_table(s1, [gaussian, gaussian], [200], 3, base_seed=0),
+            lambda: run_table(s1, [gaussian], [200], 3, base_seed=-1),
+        ]
+        for call in rejected:
+            with pytest.raises(signals.ValidationError):
+                call()
+            assert calls == []
+
 
 class TestChunks:
     """A cell estimates its replications in chunks; the result is the per-replication pipeline's."""
@@ -91,7 +114,7 @@ class TestChunks:
         seed, M = 17, 250
         ctx = pl.make_context(s1, 200)
         assert harness.CHUNK_VALUES // ctx.grid.nu < M  # two chunks: 246 + 4
-        cell = harness._cell(ctx, gaussian, M, seed, "s1", 0.0)
+        cell = run_cell(s1, gaussian, 200, M, seed)
         S_grid = pl.signal_values_on_grid(s1, ctx.part)
         sq_err = np.zeros(ctx.part.d)
         gamma, k_sum, t_sum = 0, 0.0, 0.0
