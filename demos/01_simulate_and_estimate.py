@@ -9,7 +9,7 @@ Fourier coefficients.
 import numpy as np
 
 import tvarseq as tv
-from tvarseq.pipeline import estimate_signal, make_context, signal_values_on_grid
+from tvarseq.pipeline import estimate_signal, make_context
 from tvarseq.selection import empirical_error
 
 n = 2000
@@ -30,7 +30,7 @@ print(f"early stopping at {early}/{ctx.part.d} grid points")
 k, t = res.selection.alpha_hat
 print(f"selected weight profile: k = {k}, t = {t:.4f}")
 
-S_grid = signal_values_on_grid(spec, ctx.part)
+S_grid = ctx.S_grid
 err = empirical_error(S_grid, res.selection.S_star, 0.0, 1.0, ctx.part.d)
 print(f"empirical squared error of the final estimate: {err:.5f}")
 

@@ -17,7 +17,7 @@ from .signals import ValidationError
 def trig_fn(j, x, a=0.0, b=1.0):
     """Evaluate the j-th trigonometric basis function (1-based) at x."""
     if j < 1:
-        raise IndexError(f"basis index must be >= 1, got {j}")
+        raise ValidationError(f"basis index must be >= 1, got {j}")
     x = np.asarray(x, dtype=float)
     span = b - a
     if j == 1:

@@ -72,7 +72,6 @@ def _cell(ctx, noise, M, base_seed, signal_id):
     t0 = time.perf_counter()
     n, d = ctx.part.n, ctx.part.d
     a, b = ctx.spec.a, ctx.spec.b
-    S_grid = pl.signal_values_on_grid(ctx.spec, ctx.part)
     norm_n = (b - a) * float(ctx.S_design[1:] @ ctx.S_design[1:]) / n  # ||S||_n^2 on [a, b]
 
     err_sum = 0.0
@@ -96,7 +95,7 @@ def _cell(ctx, noise, M, base_seed, signal_id):
             gamma_count += int(reg.gamma_all)
         _, chosen = pl.estimate_from_sample(ctx, Y[:m], sigma2[:m])
         for S_star, (k, t) in zip(chosen.S_star, chosen.alpha_hat):
-            err_sum += empirical_error(S_grid, S_star, a, b, d)
+            err_sum += empirical_error(ctx.S_grid, S_star, a, b, d)
             mean_est += S_star
             k_sum += k
             t_sum += t
@@ -107,7 +106,7 @@ def _cell(ctx, noise, M, base_seed, signal_id):
                       gamma_frequency=gamma_count / M,
                       mean_k=k_sum / M, mean_t=t_sum / M,
                       wall_time=time.perf_counter() - t0,
-                      z=ctx.part.z, S_grid=S_grid, mean_estimate=mean_est / M)
+                      z=ctx.part.z, S_grid=ctx.S_grid, mean_estimate=mean_est / M)
 
 
 def run_table(spec, noise_specs, n_list, M, base_seed, signal_id=""):

@@ -7,16 +7,17 @@ import numpy as np
 from . import basis as fb
 from . import selection as sel
 from . import sequential as seq
-from .signals import SignalSpec, generate_trajectory, signal_values_uniform, validate_stability
+from .signals import SignalSpec, generate_trajectory, signal_values_uniform
 
 
 @dataclass(frozen=True)
 class PipelineContext:
-    """A cell's fixed inputs: the signal, S(x_j) for j = 0..n, and what depends only
-    on (n, a, b).  Only the noise draw changes across replications."""
+    """A cell's fixed inputs: the signal, S(x_j) for j = 0..n, S on the z grid, and
+    what depends only on (n, a, b).  Only the noise draw changes across replications."""
 
     spec: SignalSpec
     S_design: np.ndarray = field(repr=False)
+    S_grid: np.ndarray = field(repr=False)
     part: seq.GridPartition
     basis: fb.TrigBasis
     grid: sel.WeightGrid
@@ -24,14 +25,16 @@ class PipelineContext:
 
 
 def make_context(spec, n):
-    """Everything a cell reuses, with the penalty delta_n of default_delta;
-    S must pass the stability check.  Once the partition has checked n, S is
-    certified and evaluated first: its FFT is the context's largest transient,
-    so it runs before the basis and the grid are held."""
+    """Everything a cell reuses, with the penalty delta_n of default_delta.  The
+    spec was certified stable when it was built.  Once the partition has checked
+    n, S is evaluated first: its FFT is the context's largest transient, so it
+    runs before the basis and the grid are held.  S_grid (S at z_1..z_d) is
+    read-only, as every cell of this n shares it."""
     part = seq.compute_partition(n, spec.a, spec.b)
-    validate_stability(spec, n)
     S_design = signal_values_uniform(spec, n)
-    return PipelineContext(spec=spec, S_design=S_design, part=part,
+    S_grid = signal_values_uniform(spec, part.d)[1:]
+    S_grid.setflags(write=False)
+    return PipelineContext(spec=spec, S_design=S_design, S_grid=S_grid, part=part,
                            basis=fb.TrigBasis(spec.a, spec.b, part.d),
                            grid=sel.build_weight_grid(n, spec.a, spec.b), delta=sel.default_delta(n))
 
@@ -67,17 +70,10 @@ def estimate_signal(ctx, noise, seed):
     Gamma = true.  Every downstream artifact is then independent of seed.
     """
     if noise.family == "none":
-        reg = seq.noiseless_regression(ctx.part, signal_values_on_grid(ctx.spec, ctx.part))
+        reg = seq.noiseless_regression(ctx.part, ctx.S_grid)
     else:
         traj = generate_trajectory(ctx.spec, noise, ctx.part.n, seed,
                                    signal_values=ctx.S_design)
         reg = seq.build_regression(traj, ctx.part)
     return estimate_from_regression(reg, ctx)
 
-
-def signal_values_on_grid(spec, part):
-    """True S at the z grid, via the same fast uniform-grid evaluation.
-
-    z_l = a + l*(b-a)/d are the points i/d for i = 1..d of the uniform grid.
-    """
-    return signal_values_uniform(spec, part.d)[1:]

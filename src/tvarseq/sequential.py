@@ -148,16 +148,16 @@ def sequential_estimate(x, H, step, kappa, gamma):
     return np.where(gamma, (head + kappa * _at(x, step) * _at(x, step + 1)) / H, 0.0)
 
 
-POINT_FIELDS = ("l", "s_pre", "H", "tau", "kappa", "gamma", "s_star", "sigma2")
+POINT_FIELDS = ("l", "s_pre", "H", "tau", "kappa", "gamma", "s_star")
 
 
 @dataclass(frozen=True)
 class RegressionSample:
     """Regression sample Y_l = S*_l at the z grid, one record per grid point.
 
-    points is a record array with fields POINT_FIELDS (l is 1-based); Y and
-    sigma2 are two of its columns.  gamma_all is the global event that every
-    point stopped before its window boundary.
+    points is a record array with fields POINT_FIELDS (l is 1-based); Y is its
+    s_star column and the variance proxy sigma2 is 1/H.  gamma_all is the global
+    event that every point stopped before its window boundary.
     """
 
     z: np.ndarray = field(repr=False)
@@ -171,7 +171,7 @@ class RegressionSample:
 
     @property
     def sigma2(self):
-        return np.ascontiguousarray(self.points.sigma2)
+        return 1.0 / self.points.H
 
 
 def _sample(part, *columns):
@@ -210,11 +210,11 @@ def _stages(y, part, w, g):
     x = rows[:, q + 1:]  # y_iota, y_{iota+1}, ...
     step, kappa, gamma = run_stopping_rule(x, k2 - iota - 1, H)
     s_star = sequential_estimate(x, H, step, kappa, gamma)
-    return s_pre, H, iota + 1 + step, kappa, gamma, s_star, 1.0 / H
+    return s_pre, H, iota + 1 + step, kappa, gamma, s_star
 
 
 def noiseless_regression(part, S_grid):
-    """The sample a noise-free oracle would give: Y = S on the z grid, sigma2 = 0
-    (H = inf), every point marked as stopped early; tau = 0 marks that no
+    """The sample a noise-free oracle would give: Y = S on the z grid, H = inf
+    (so sigma2 = 0), every point marked as stopped early; tau = 0 marks that no
     stopping rule ran."""
-    return _sample(part, S_grid, np.inf, 0, 1.0, True, S_grid, 0.0)
+    return _sample(part, S_grid, np.inf, 0, 1.0, True, S_grid)

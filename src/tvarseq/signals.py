@@ -37,6 +37,8 @@ class SignalSpec:
     kind "series" is sum_i coefficients[i] * psi_i(x) over the trigonometric
     basis; "tabulated" interpolates the given values on a uniform x grid.  The
     closed forms S1 and S2 are functions of u = (x-a)/(b-a), which is x on [0, 1].
+    A spec is certified stable when it is built (validate_stability), so every
+    SignalSpec that exists satisfies |S| <= 1 - eps and |S'| <= L on [a, b].
     """
 
     kind: str
@@ -65,6 +67,7 @@ class SignalSpec:
             raise ValidationError("series kind needs coefficients")
         if self.kind == "tabulated" and len(self.values) < 2:
             raise ValidationError("tabulated kind needs at least 2 values")
+        validate_stability(self, 0)
 
     def to_dict(self):
         cfg = {"kind": self.kind, "a": self.a, "b": self.b,
@@ -78,8 +81,11 @@ class SignalSpec:
     @classmethod
     def from_dict(cls, cfg):
         """A spec from a JSON object (lists become tuples); a bad or missing key is named."""
+        if not isinstance(cfg, dict):
+            raise ValidationError(f"a {cls.__name__} must be a JSON object, "
+                                  f"got {type(cfg).__name__}")
         try:
-            return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in dict(cfg).items()})
+            return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()})
         except TypeError as exc:
             raise ValidationError(f"bad {cls.__name__}: {exc}") from None
 
@@ -148,6 +154,7 @@ def _series_values(c0, A, B, N):
 
 def validate_stability(spec, n):
     """Certify sup|S| <= 1-eps on all of [a, b], hence for every n; check |S'| <= L.
+    n is unread: SignalSpec runs this once, with n = 0, when it is built.
 
     Exact for piecewise-linear tabulated S.  A series has |dS/du| <= slope_u =
     2 pi sum_m m(|A_m| + |B_m|), so sup|S| <= max|S(i/N)| + slope_u/(2N), with
@@ -236,14 +243,13 @@ def generate_trajectory(spec, noise, n, seed, signal_values=None):
     """Simulate y_j = S(x_j) y_{j-1} + xi_j for j = 1..n from y_0 = 0.
 
     signal_values may carry S(x_j) for j = 0..n (the j = 0 entry is unused),
-    as a context holds them; without it S is checked for stability and
-    evaluated here.
+    as a context holds them; without it S is evaluated here.  The spec was
+    certified stable when it was built.
     """
     if n < 10:
         raise ValidationError(f"need n >= 10, got {n}")
     _check_span(n, spec.a, spec.b)
     if signal_values is None:
-        validate_stability(spec, n)
         signal_values = signal_values_uniform(spec, n)
     s = np.asarray(signal_values, dtype=float)
     if s.shape != (n + 1,):

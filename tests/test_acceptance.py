@@ -21,7 +21,6 @@ from tvarseq.pipeline import (
     estimate_from_regression,
     estimate_signal,
     make_context,
-    signal_values_on_grid,
 )
 from tvarseq.selection import empirical_error
 from tvarseq.sequential import build_regression, compute_partition
@@ -85,7 +84,7 @@ def s2_table(s2, gaussian):
 def oracle_runs(s1, gaussian):
     """200 replications at n=1000: selected risk and per-grid minimum risk."""
     ctx = make_context(s1, 1000)
-    S_grid = signal_values_on_grid(s1, ctx.part)
+    S_grid = ctx.S_grid
     theta_d = (1.0 / ctx.part.d) * (ctx.basis.phi.T @ S_grid)
     lam = ctx.grid.lam  # every candidate profile on the band j = 1..W
     W = lam.shape[1]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tvarseq.basis import FourierCoeffs, TrigBasis, fourier_coefficients, trig_fn
+from tvarseq.signals import ValidationError
 
 
 class TestBasisEval:
@@ -23,6 +24,10 @@ class TestBasisEval:
         # normalization scales with the interval length
         assert trig_fn(1, 2.0, 1.0, 3.0) == pytest.approx(1.0 / math.sqrt(2), abs=1e-14)
         assert trig_fn(2, 1.0, 1.0, 3.0) == pytest.approx(1.0, abs=1e-14)  # sqrt(2/2)*cos 0
+
+    def test_index_below_one_rejected(self):
+        with pytest.raises(ValidationError, match=">= 1"):
+            trig_fn(0, 0.5)
 
     def test_trig_fn_matches_basis(self):
         # the cached grid values are trig_fn at z_l = a + l (b-a)/d
@@ -106,11 +111,10 @@ class TestFourierCoefficients:
         recon = basis.phi @ c.theta_hat
         np.testing.assert_allclose(recon, Y, atol=1e-8)
 
-    def test_noiseless_decomposition(self, s1, ctx_1000):
+    def test_noiseless_decomposition(self, ctx_1000):
         # with Y the true signal on the grid, theta_hat equals (S, phi_j)_d
-        from tvarseq.pipeline import signal_values_on_grid
         basis = ctx_1000.basis
-        S_grid = signal_values_on_grid(s1, ctx_1000.part)
+        S_grid = ctx_1000.S_grid
         c = fourier_coefficients(basis, S_grid, np.zeros(len(S_grid)))
         w = (basis.b - basis.a) / basis.d
         direct = np.array([w * float(S_grid @ basis.phi[:, j]) for j in range(basis.d)])

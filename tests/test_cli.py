@@ -187,6 +187,31 @@ class TestOptions:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["simulate", "--noise", "none"], ["estimate"], ["estimate", "--noise", "none"],
+    ["beta"], ["beta", "--noise", "none"], ["risk-table", "--n", "200", "--M", "2"],
+])
+def test_negative_seed_rejected(tmp_path, capsys, argv):
+    """Every command that takes --seed rejects one below 0 as it parses, before any work."""
+    out = tmp_path / "out"
+    assert main([*argv, "--seed", "-1", "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [[["kind", "closed_form_S1"]], "ab"], ids=["pairs", "string"])
+def test_spec_file_must_hold_an_object(tmp_path, capsys, content):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(content))
+    out = tmp_path / "out"
+    assert main(["estimate", "--signal", f"series:{spec}", "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "JSON object" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestUnstableSignal:
     # sup|S| <= 1.697 on [0, 1]: outside the stability set |S| <= 1 - eps
     SPEC = {"kind": "series", "coefficients": [0.0, 1.2], "stability_eps": 0.1,
@@ -335,6 +360,7 @@ class TestConfigFile:
         ({"seeds": 3}, "'seeds'"),
         ([1, 2], "JSON object"),
         ({"noise": "all"}, "--noise"),
+        ({"seed": -1}, "--seed"),
     ])
     def test_bad_value_rejected(self, tmp_path, capsys, cfg, named):
         path = tmp_path / "cfg.json"

@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
+import tvarseq
 import tvarseq.pipeline as pl
-from tvarseq import harness, signals
+from tvarseq import cli, harness, signals
+from tvarseq.basis import trig_fn
 from tvarseq.harness import export_report, run_cell, run_table
 from tvarseq.io import config_hash
 from tvarseq.selection import empirical_error
@@ -115,7 +117,7 @@ class TestChunks:
         ctx = pl.make_context(s1, 200)
         assert harness.CHUNK_VALUES // ctx.grid.nu < M  # two chunks: 246 + 4
         cell = run_cell(s1, gaussian, 200, M, seed)
-        S_grid = pl.signal_values_on_grid(s1, ctx.part)
+        S_grid = ctx.S_grid
         sq_err = np.zeros(ctx.part.d)
         gamma, k_sum, t_sum = 0, 0.0, 0.0
         for r in range(1, M + 1):
@@ -140,19 +142,25 @@ class TestContext:
     SERIES = SignalSpec(kind="series", a=1.0, b=3.0, coefficients=(0.0, 0.3, 0.0, 0.0, 0.1),
                         stability_eps=0.3, lipschitz_L=10.0)
 
-    def test_one_stability_check_per_n(self, s1, gaussian, uniform_noise, monkeypatch):
+    def test_one_stability_check_per_n(self, gaussian, uniform_noise, monkeypatch):
+        # the one check runs when the spec is built; no n, cell or estimate repeats it
         seen = []
-        check = pl.validate_stability
+        check = signals.validate_stability
 
         def spy(spec, n):
             seen.append(n)
             return check(spec, n)
 
-        for module in (signals, pl, harness):  # every binding a cell could call
+        for module in (tvarseq, signals, pl, harness, cli):  # every binding there is
             if hasattr(module, "validate_stability"):
                 monkeypatch.setattr(module, "validate_stability", spy)
+        s1 = signals.signal_s1()
+        assert seen == [0]
         run_table(s1, [gaussian, uniform_noise], [200, 500], M=1, base_seed=1)
-        assert seen == [200, 500]
+        ctx = pl.make_context(s1, 200)
+        for noise in (gaussian, signals.NoiseSpec("none")):
+            pl.estimate_signal(ctx, noise, seed=1)
+        assert seen == [0]
 
     def test_estimate_on_the_spec_interval(self, gaussian):
         res = pl.estimate_signal(pl.make_context(self.SERIES, 500), gaussian, seed=3)
@@ -165,8 +173,7 @@ class TestContext:
         M, seed = 6, 3
         cell = run_cell(self.SERIES, gaussian, 500, M, base_seed=seed)
         ctx = pl.make_context(self.SERIES, 500)
-        S_grid = pl.signal_values_on_grid(self.SERIES, ctx.part)
-        errors = [empirical_error(S_grid, pl.estimate_signal(
+        errors = [empirical_error(ctx.S_grid, pl.estimate_signal(
                       ctx, gaussian, signals.replication_seed(seed, r)).selection.S_star,
                       1.0, 3.0, ctx.part.d)
                   for r in range(1, M + 1)]
@@ -177,9 +184,10 @@ class TestContext:
 
     def test_cell_on_the_spec_interval(self, gaussian):
         c = run_cell(self.SERIES, gaussian, 500, 2, base_seed=3)
-        part = pl.make_context(self.SERIES, 500).part
         assert np.all((c.z > 1.0) & (c.z <= 3.0)) and c.z[-1] == 3.0
-        np.testing.assert_array_equal(c.S_grid, pl.signal_values_on_grid(self.SERIES, part))
+        # S = 0.3 psi_2 + 0.1 psi_5, summed term by term at z
+        S = 0.3 * trig_fn(2, c.z, 1.0, 3.0) + 0.1 * trig_fn(5, c.z, 1.0, 3.0)
+        np.testing.assert_allclose(c.S_grid, S, rtol=0, atol=1e-14)
 
 
 class TestExport:

@@ -297,14 +297,13 @@ class TestSelect:
         # Python scalars, so that selection.json writes numbers, not strings
         assert [type(v) for v in res.alpha_hat] == [int, float]
 
-    def test_noiseless_selection_near_oracle(self, s1, ctx_1000):
+    def test_noiseless_selection_near_oracle(self, ctx_1000):
         # noiseless coefficients with zero variance proxies: the criterion is
         # the empirical risk minus a constant, so the selected weights cannot
         # do worse than the best grid element
-        from tvarseq.pipeline import signal_values_on_grid
         d = ctx_1000.part.d
         basis = ctx_1000.basis
-        S_grid = signal_values_on_grid(s1, ctx_1000.part)
+        S_grid = ctx_1000.S_grid
         coeffs = fourier_coefficients(basis, S_grid, np.zeros(d))
         grid = ctx_1000.grid
         res = select(coeffs, grid, 1e-6, basis)

@@ -194,10 +194,10 @@ class TestPipelineInvariants:
         part, out = samples
         eps = eps_tilde(part.n)
         for _, points in out:
-            for p in points:
+            for p in points:  # sigma2_l = 1/H_l
                 span = (1.0 - eps) * (part.k2[p.l - 1] - part.iota[p.l - 1])
-                assert p.sigma2 <= 1.0 / span + 1e-12
-                assert p.sigma2 >= (1.0 - (1.0 - eps) ** 2) / span - 1e-12
+                assert 1.0 / p.H <= 1.0 / span + 1e-12
+                assert 1.0 / p.H >= (1.0 - (1.0 - eps) ** 2) / span - 1e-12
 
     def test_preliminary_clamped(self, samples):
         part, out = samples

@@ -38,7 +38,7 @@ def one_window(y, part, l):
     H = threshold(s_pre, k2, iota, part.n)
     step, kappa, gamma = run_stopping_rule(row[q + 1:], k2 - iota - 1, H)
     s_star = sequential_estimate(row[q + 1:], H, step, kappa, gamma)
-    return (l + 1, s_pre, H, iota + 1 + step, kappa, gamma, s_star, 1.0 / H)
+    return (l + 1, s_pre, H, iota + 1 + step, kappa, gamma, s_star)
 
 
 def as_bytes(record, dtype):

@@ -172,9 +172,10 @@ class TestTrajectory:
         assert 0.8 <= float(np.var(traj.y)) <= 2.0
 
     def test_unstable_spec_rejected(self, gaussian):
-        bad = SignalSpec(kind="tabulated", values=(0.99, 0.99), stability_eps=0.5,
-                         lipschitz_L=1.0)
+        # the spec is certified when it is built, so no unstable path is simulated
         with pytest.raises(ValidationError):
+            bad = SignalSpec(kind="tabulated", values=(0.99, 0.99), stability_eps=0.5,
+                             lipschitz_L=1.0)
             generate_trajectory(bad, gaussian, 200, 1)
 
     def test_replication_seeds_differ(self, s1, gaussian):
@@ -280,23 +281,24 @@ class TestSeriesEngine:
         np.testing.assert_allclose(scattered_series(spec, x), expected, rtol=0, atol=1e-15)
 
 
-def peaked_between_grid_points():
+def peaked_between_grid_points(stability_eps):
     """S = 0.605 cos(2 pi 50 (x - 0.0005)): the peak 0.605 lies midway between the
     points i/1000, where |S| is at most 0.5976."""
     phi = 2 * math.pi * 50 * 0.0005
     beta = [0.0] * 101
     beta[99] = 0.605 * math.cos(phi) / math.sqrt(2)
     beta[100] = 0.605 * math.sin(phi) / math.sqrt(2)
-    return SignalSpec(kind="series", coefficients=tuple(beta), stability_eps=0.4,
+    return SignalSpec(kind="series", coefficients=tuple(beta), stability_eps=stability_eps,
                       lipschitz_L=400.0)
 
 
 class TestStabilityCertificate:
     def test_rejects_peak_between_scan_points(self):
-        spec = peaked_between_grid_points()
-        assert np.max(np.abs(signal_values_uniform(spec, 1000))) < 0.6
+        # at eps = 0.39 the peak 0.605 is within 1 - eps, so the spec can be built
+        scanned = peaked_between_grid_points(0.39)
+        assert np.max(np.abs(signal_values_uniform(scanned, 1000))) < 0.6
         with pytest.raises(ValidationError, match="stability"):
-            validate_stability(spec, 100)
+            validate_stability(peaked_between_grid_points(0.4), 100)
 
     def test_bound_is_certified_and_tight(self, s1, s2):
         bound = validate_stability(s1, 1000)
@@ -328,9 +330,9 @@ class TestStabilityCertificate:
 
     def test_lipschitz_checked_for_series(self):
         # 0.3 psi_2 has |S'| = 0.3 sqrt(2) 2 pi = 2.67
-        steep = SignalSpec(kind="series", coefficients=(0.0, 0.3), stability_eps=0.4,
-                           lipschitz_L=2.6)
         with pytest.raises(ValidationError, match="Lipschitz"):
+            steep = SignalSpec(kind="series", coefficients=(0.0, 0.3), stability_eps=0.4,
+                               lipschitz_L=2.6)
             validate_stability(steep, 200)
 
 
