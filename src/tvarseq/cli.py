@@ -7,14 +7,13 @@ Exit codes: 0 success, 2 validation error or an input too large for memory,
 
 import argparse
 import json
-import os
 import sys
 
 from . import beta as beta_mod
 from . import pipeline as pl
 from . import theory
 from .harness import export_report, run_table
-from .io import write_csv, write_json
+from .io import write_artifacts
 from .signals import (NoiseSpec, SignalSpec, ValidationError, generate_trajectory,
                       signal_s1, signal_s2)
 
@@ -53,59 +52,43 @@ def _seed(text):
     return seed
 
 
-def ensure_out(path):
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def cmd_simulate(args):
     spec = resolve_signal(args.signal)
     noise = resolve_noise(args.noise)
     traj = generate_trajectory(spec, noise, args.n, args.seed)
-    out = ensure_out(args.out)
     run_cfg = {"command": "simulate", "signal": spec.to_dict(),
                "noise": noise.to_dict(), "n": args.n, "seed": args.seed}
-    path = os.path.join(out, "trajectory.csv")
-    write_csv(path, run_cfg, {"j": range(traj.n + 1), "x_j": traj.x, "y_j": traj.y})
-    print(path)
+    print(*write_artifacts(args.out, run_cfg, {
+        "trajectory.csv": {"j": range(traj.n + 1), "x_j": traj.x, "y_j": traj.y}}))
     return EXIT_OK
 
 
 def _run_estimate(args):
-    spec = resolve_signal(args.signal)
+    """The context this command's options build, the estimate on it, and the config echo."""
     noise = resolve_noise(args.noise)
-    res = pl.estimate_signal(pl.make_context(spec, args.n), noise, args.seed)
-    run_cfg = {"command": args.command, "signal": spec.to_dict(),
+    ctx = pl.make_context(resolve_signal(args.signal), args.n)
+    run_cfg = {"command": args.command, "signal": ctx.spec.to_dict(),
                "noise": noise.to_dict(), "n": args.n, "seed": args.seed}
-    return spec, res, run_cfg
+    return ctx, pl.estimate_signal(ctx, noise, args.seed), run_cfg
 
 
 def cmd_estimate(args):
-    spec, res, run_cfg = _run_estimate(args)
-    out = ensure_out(args.out)
-    pts, grid, one_to_d = res.reg.points, res.context.grid, range(1, res.context.part.d + 1)
-    tables = {
-        "seq_points.csv": {"l": pts.l, "z_l": res.reg.z, "Y_l": pts.s_star,
+    ctx, res, run_cfg = _run_estimate(args)
+    pts, sel, one_to_d = res.reg.points, res.selection, range(1, ctx.part.d + 1)
+    paths = write_artifacts(args.out, run_cfg, {
+        "seq_points.csv": {"l": pts.l, "z_l": ctx.part.z, "Y_l": pts.s_star,
                            "sigma2_l": res.reg.sigma2, "tau_l": pts.tau, "gamma_l": pts.gamma},
         "coefficients.csv": {"j": one_to_d, "theta_hat_j": res.coeffs.theta_hat,
                              "s_jd": res.coeffs.s_jd},
-        "criterion.csv": {"k": grid.k, "t": grid.t, "J": res.selection.J_values},
-        "s_star.csv": {"l": one_to_d, "z_l": res.context.part.z, "S_star": res.selection.S_star},
-    }
-    paths = [os.path.join(out, name) for name in (*tables, "selection.json")]
-    for path, table in zip(paths, tables.values()):
-        write_csv(path, run_cfg, table)
-    write_json(paths[-1], run_cfg, {
-        "selected_k": res.selection.alpha_hat[0],
-        "selected_t": res.selection.alpha_hat[1],
-        "delta": res.context.delta,
-        "gamma": res.reg.gamma_all,
-        "J_min": float(res.selection.J_values[res.selection.alpha_index]),
+        "criterion.csv": {"k": ctx.grid.k, "t": ctx.grid.t, "J": sel.J_values},
+        "s_star.csv": {"l": one_to_d, "z_l": ctx.part.z, "S_star": sel.S_star},
+        "selection.json": {"selected_k": sel.alpha_hat[0], "selected_t": sel.alpha_hat[1],
+                           "delta": ctx.delta, "gamma": res.reg.gamma_all,
+                           "J_min": float(sel.J_values[sel.alpha_index])},
     })
-    k, t = res.selection.alpha_hat
+    k, t = sel.alpha_hat
     print(f"selected (k, t) = ({k}, {t:.6g}); gamma={res.reg.gamma_all}")
-    for path in paths:
-        print(path)
+    print(*paths, sep="\n")
     return EXIT_OK
 
 
@@ -115,12 +98,10 @@ def cmd_risk_table(args):
     noises = [resolve_noise(name) for name in names]
     signal_id = args.signal if not args.signal.startswith("series:") else "series"
     report = run_table(spec, noises, args.n, args.M, args.seed, signal_id=signal_id)
-    out = ensure_out(args.out)
     run_cfg = {"command": "risk-table", "signal": spec.to_dict(),
                "noise": [nz.to_dict() for nz in noises], "n_list": args.n,
                "M": args.M, "seed": args.seed}
-    for p in export_report(report, run_cfg, out):
-        print(p)
+    print(*export_report(report, run_cfg, args.out), sep="\n")
     return EXIT_OK
 
 
@@ -139,27 +120,23 @@ def cmd_pinsker(args):
                         "upsilon": theory.upsilon(spec, k)})
         lines += [f"{name} = {payload[name]:.6f}" for name in ("sigma_star", "upsilon")]
     if args.out is not None:
-        ensure_out(args.out)
-        path = os.path.join(args.out, "pinsker.json")
-        write_json(path, run_cfg, payload)
-        lines.append(path)
+        lines += write_artifacts(args.out, run_cfg, {"pinsker.json": payload})
     print("\n".join(lines))
     return EXIT_OK
 
 
 def cmd_beta(args):
-    spec, res, run_cfg = _run_estimate(args)
-    i_max = res.context.part.d if args.i_max is None else args.i_max
+    ctx, res, run_cfg = _run_estimate(args)
+    spec = ctx.spec
+    i_max = ctx.part.d if args.i_max is None else args.i_max
     beta_hat = beta_mod.project_coefficients(res.selection.S_star, spec.a, spec.b, i_max)
     run_cfg["i_max"] = args.i_max  # as given: None stands for d
-    out = ensure_out(args.out)
-    path = os.path.join(out, "beta.csv")
-    write_csv(path, run_cfg, {"i": range(1, i_max + 1), "beta_hat_i": beta_hat})
     payload = {"i_max": i_max}
     if spec.kind == "series":
         payload["l2_error"] = beta_mod.beta_error(beta_hat, spec.coefficients)
-    write_json(os.path.join(out, "beta.json"), run_cfg, payload)
-    print(path)
+    csv_path, _ = write_artifacts(args.out, run_cfg, {
+        "beta.csv": {"i": range(1, i_max + 1), "beta_hat_i": beta_hat}, "beta.json": payload})
+    print(csv_path)
     return EXIT_OK
 
 

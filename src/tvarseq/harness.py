@@ -12,13 +12,12 @@ order, so a cell is reproducible bit-for-bit.
 """
 
 from dataclasses import dataclass, field
-import os
 import time
 
 import numpy as np
 
 from . import pipeline as pl
-from .io import write_csv, write_json
+from .io import write_artifacts
 from .selection import empirical_error
 from .signals import ValidationError, generate_trajectory, replication_seed
 from .sequential import build_regression
@@ -67,13 +66,12 @@ def run_cell(spec, noise, n, M, base_seed, signal_id=""):
     return run_table(spec, [noise], [n], M, base_seed, signal_id).cells[0]
 
 
-def _cell(ctx, noise, M, base_seed, signal_id):
-    """The M replications of one cell on fixed inputs that run_table has checked."""
+def _cell(ctx, norm_n, noise, M, base_seed, signal_id):
+    """The M replications of one cell on fixed inputs that run_table has checked;
+    norm_n is ||S||_n^2, the divisor of rbar_star."""
     t0 = time.perf_counter()
     n, d = ctx.part.n, ctx.part.d
     a, b = ctx.spec.a, ctx.spec.b
-    norm_n = (b - a) * float(ctx.S_design[1:] @ ctx.S_design[1:]) / n  # ||S||_n^2 on [a, b]
-
     err_sum = 0.0
     mean_est = np.zeros(d)
     gamma_count = 0
@@ -112,7 +110,8 @@ def _cell(ctx, noise, M, base_seed, signal_id):
 def run_table(spec, noise_specs, n_list, M, base_seed, signal_id=""):
     """One cell per (n, noise family), one context per n; robust column is the max over families.
 
-    Every input is checked before the first context is built.
+    Every input is checked before the first context is built, and each n's
+    ||S||_n^2 before that n's cells run: rbar_star divides by it.
     """
     if not n_list or not noise_specs:
         raise ValidationError("need nonempty n_list and noise set")
@@ -129,7 +128,12 @@ def run_table(spec, noise_specs, n_list, M, base_seed, signal_id=""):
     cells = []
     for n in n_list:
         ctx = pl.make_context(spec, n)
-        cells.extend(_cell(ctx, noise, M, base_seed, signal_id) for noise in noise_specs)
+        # ||S||_n^2 on [a, b], the divisor of this n's rbar_star
+        norm_n = (spec.b - spec.a) * float(ctx.S_design[1:] @ ctx.S_design[1:]) / n
+        if norm_n == 0.0:
+            raise ValidationError(f"S is zero on the n={n} design points: ||S||_n^2 = 0, "
+                                  "so the relative risk rbar_star is undefined")
+        cells.extend(_cell(ctx, norm_n, noise, M, base_seed, signal_id) for noise in noise_specs)
         del ctx  # free this n's context before the next one is built
     robust = {n: max(c.rbar for c in cells if c.n == n) for n in n_list}
     return RiskReport(cells=tuple(cells), base_seed=base_seed, robust=robust)
@@ -141,19 +145,15 @@ def export_report(report, cfg, out_dir, prefix="risk_table"):
     A row of the table is a cell's summary() plus its robust_rbar; wall_time
     stays out of both files so reruns are byte-identical.
     """
-    path = os.path.join(out_dir, f"{prefix}.csv")
     rows = [{**c.summary(), "robust_rbar": report.robust[c.n]} for c in report.cells]
-    write_csv(path, cfg, {name: [row[name] for row in rows] for name in rows[0]})
-    paths = [path]
+    files = {f"{prefix}.csv": {name: [row[name] for row in rows] for name in rows[0]}}
     for c in report.cells:
-        cell_path = os.path.join(out_dir, f"{prefix}_{c.signal_id}_n{c.n}_{c.noise_family}.csv")
-        write_csv(cell_path, cfg, {"l": range(1, len(c.z) + 1), "z_l": c.z, "S": c.S_grid,
-                                   "mean_estimate": c.mean_estimate})
-        paths.append(cell_path)
-    path = os.path.join(out_dir, f"{prefix}.json")
-    write_json(path, cfg, {
+        files[f"{prefix}_{c.signal_id}_n{c.n}_{c.noise_family}.csv"] = {
+            "l": range(1, len(c.z) + 1), "z_l": c.z, "S": c.S_grid,
+            "mean_estimate": c.mean_estimate}
+    files[f"{prefix}.json"] = {
         "base_seed": report.base_seed,
         "robust_rbar": {str(n): v for n, v in sorted(report.robust.items())},
         "cells": [c.summary() for c in report.cells],
-    })
-    return paths + [path]
+    }
+    return write_artifacts(out_dir, cfg, files)

@@ -7,6 +7,7 @@ byte-identical artifacts.
 
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -70,3 +71,16 @@ def write_json(path, cfg, payload):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=False, default=str)
         fh.write("\n")
+
+
+def write_artifacts(out_dir, cfg, files):
+    """Write each {file name: content} entry into out_dir, made if missing, under one config.
+
+    A '.csv' name takes a {column: values} table (write_csv), any other name a
+    JSON payload (write_json).  Returns the paths in the order given.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    paths = [os.path.join(out_dir, name) for name in files]
+    for path, content in zip(paths, files.values()):
+        (write_csv if path.endswith(".csv") else write_json)(path, cfg, content)
+    return paths

@@ -41,9 +41,8 @@ def make_context(spec, n):
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Output of one full run of the estimation pipeline."""
+    """Output of one full run of the estimation pipeline on a context."""
 
-    context: PipelineContext
     reg: seq.RegressionSample
     coeffs: fb.FourierCoeffs
     selection: sel.SelectionResult
@@ -51,7 +50,7 @@ class EstimateResult:
 
 def estimate_from_regression(reg, ctx):
     coeffs, selection = estimate_from_sample(ctx, reg.Y, reg.sigma2)
-    return EstimateResult(context=ctx, reg=reg, coeffs=coeffs, selection=selection)
+    return EstimateResult(reg=reg, coeffs=coeffs, selection=selection)
 
 
 def estimate_from_sample(ctx, Y, sigma2):

@@ -153,14 +153,13 @@ POINT_FIELDS = ("l", "s_pre", "H", "tau", "kappa", "gamma", "s_star")
 
 @dataclass(frozen=True)
 class RegressionSample:
-    """Regression sample Y_l = S*_l at the z grid, one record per grid point.
+    """Regression sample Y_l = S*_l at the partition's z grid, one record per grid point.
 
     points is a record array with fields POINT_FIELDS (l is 1-based); Y is its
     s_star column and the variance proxy sigma2 is 1/H.  gamma_all is the global
     event that every point stopped before its window boundary.
     """
 
-    z: np.ndarray = field(repr=False)
     points: np.recarray = field(repr=False)
     gamma_all: bool
 
@@ -178,7 +177,7 @@ def _sample(part, *columns):
     """RegressionSample from the columns after l, in POINT_FIELDS order."""
     points = np.rec.fromarrays(np.broadcast_arrays(np.arange(1, part.d + 1), *columns),
                                names=POINT_FIELDS)
-    return RegressionSample(z=part.z, points=points, gamma_all=bool(np.all(points.gamma)))
+    return RegressionSample(points=points, gamma_all=bool(np.all(points.gamma)))
 
 
 def build_regression(traj, part):

@@ -20,7 +20,7 @@ _CERT_MAX_POINTS = 1 << 20  # cap on the certification grid
 GROUP_BYTES = 1 << 21
 
 _SIGNAL_KINDS = ("closed_form_S1", "closed_form_S2", "series", "tabulated")
-# each family's smallest varsigma for which E|xi|^{2l} <= l! varsigma^l holds
+# per family, a varsigma for which the bound E|xi|^{2l} <= l! varsigma^l holds
 _NOISE_VARSIGMA = {"gaussian_std": 2.0, "uniform_unit_variance": 3.0, "none": 1.0}
 
 
@@ -160,16 +160,19 @@ def validate_stability(spec, n):
     2 pi sum_m m(|A_m| + |B_m|), so sup|S| <= max|S(i/N)| + slope_u/(2N), with
     N a power of two keeping that slack within _CERT_SLACK * eps.  |S'| is
     checked by finite differences on that grid.  Returns the bound on sup|S|.
+    Amplitudes too large for a float overflow to inf or nan, which the bound
+    check rejects.
     """
     if spec.kind == "tabulated":
         vals = np.asarray(spec.values, dtype=float)
         bound = float(np.max(np.abs(vals)))
     else:
-        c0, A, B = trig_amplitudes(spec)
-        slope_u = 2.0 * np.pi * float(np.arange(1, len(A) + 1) @ (np.abs(A) + np.abs(B)))
-        need = min(slope_u / (2.0 * _CERT_SLACK * spec.stability_eps), _CERT_MAX_POINTS)
-        vals = _series_values(c0, A, B, 1 << (math.ceil(need) - 1).bit_length())
-        bound = float(np.max(np.abs(vals))) + slope_u / (2 * (len(vals) - 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            c0, A, B = trig_amplitudes(spec)
+            slope_u = 2.0 * np.pi * float(np.arange(1, len(A) + 1) @ (np.abs(A) + np.abs(B)))
+            need = min(slope_u / (2.0 * _CERT_SLACK * spec.stability_eps), _CERT_MAX_POINTS)
+            vals = _series_values(c0, A, B, 1 << (math.ceil(need) - 1).bit_length())
+            bound = float(np.max(np.abs(vals))) + slope_u / (2 * (len(vals) - 1))
     if not bound <= 1.0 - spec.stability_eps + 1e-12:
         raise ValidationError(f"signal violates stability: sup|S| <= {bound:.6g} is not"
                               f" within 1-eps={1 - spec.stability_eps:.6g}")

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 import tvarseq.beta as beta_mod
 import tvarseq.cli as cli
 import tvarseq.pipeline as pl
-from tvarseq.cli import COMMANDS, EXIT_OK, EXIT_VALIDATION, build_parser, main, parse_args
+from tvarseq.cli import (COMMANDS, EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main,
+                         parse_args)
 
 
 def run(tmp_path, *argv):
@@ -242,11 +243,15 @@ FAR_TABULATED = {"kind": "tabulated", "a": 1e300, "b": 1e308, "values": [0.1, 0.
                  "stability_eps": 0.3, "lipschitz_L": 10.0}
 UNIT = {**WIDE, "a": 0.0, "b": 1.0}
 BEYOND_FLOAT = str(10 ** 400)  # an n that no float holds
+# amplitudes whose sum (psi_1 + psi_2 terms), or whose sqrt(2) scaling, overflows
+HUGE_SUM = {"kind": "series", "coefficients": [1e308, 1e308]}
+HUGE_SCALED = {"kind": "series", "coefficients": [0.0, 1.3e308]}
 
 
 class TestIntervalOverflow:
     """An interval whose width, or 2 pi n (b-a), overflows is a validation error,
-    and so is an n too large for a float."""
+    and so is an empty interval, an n too large for a float, and a series whose
+    amplitudes overflow the stability check's arithmetic."""
 
     @pytest.mark.parametrize("spec, argv, named", [
         (WIDE, ["estimate", "--n", "500"], "b - a"),
@@ -259,9 +264,13 @@ class TestIntervalOverflow:
         (FAR_TABULATED, ["simulate"], "2 pi n"),
         (UNIT, ["estimate", "--n", BEYOND_FLOAT], "2 pi n"),
         (UNIT, ["simulate", "--n", BEYOND_FLOAT], "2 pi n"),
+        ({**UNIT, "a": 1.0}, ["estimate", "--n", "500"], "need b > a"),
+        (HUGE_SUM, ["estimate", "--n", "500"], "stability"),
+        (HUGE_SCALED, ["estimate", "--n", "500"], "stability"),
     ], ids=["wide-estimate", "wide-pinsker", "far-estimate", "far-risk-table",
             "far-simulate", "far-beta", "far-tabulated-estimate", "far-tabulated-simulate",
-            "huge-n-estimate", "huge-n-simulate"])
+            "huge-n-estimate", "huge-n-simulate", "empty-interval", "huge-amplitude-sum",
+            "huge-scaled-amplitude"])
     def test_exit_2(self, tmp_path, capsys, spec, argv, named):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -272,8 +281,71 @@ class TestIntervalOverflow:
         assert code == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and named in captured.err
+        assert captured.err.count("\n") == 1  # one line: no warning or traceback before it
         assert captured.out == ""
         assert not out.exists()
+
+
+# a valid series spec, for one field to be set outside its range
+SERIES = {"kind": "series", "coefficients": [0.0, 0.3], "stability_eps": 0.3, "lipschitz_L": 10.0}
+
+
+@pytest.mark.parametrize("spec, argv, named", [
+    ({**SERIES, "stability_eps": 1.0}, ["estimate"], "stability_eps"),
+    ({**SERIES, "lipschitz_L": 0.0}, ["estimate"], "lipschitz_L"),
+    ({**SERIES, "coefficients": []}, ["estimate"], "series kind needs coefficients"),
+    ({"kind": "tabulated", "values": [0.1]}, ["estimate"], "at least 2 values"),
+    (None, ["simulate", "--n", "9"], "need n >= 10"),
+    (None, ["pinsker", "--k", "0", "--r", "1"], "need k >= 1"),
+], ids=["eps", "lipschitz", "no-coefficients", "one-value", "simulate-n", "pinsker-k"])
+def test_outside_input_named(tmp_path, capsys, spec, argv, named):
+    """An input outside its range exits 2 with one error line that names it,
+    prints no result and writes nothing."""
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = [*argv, "--signal", f"series:{path}"]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and named in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "tabulated", "values": [0.0, 0.0], "stability_eps": 0.5},
+    {"kind": "series", "coefficients": [0.0], "stability_eps": 0.5},
+], ids=["tabulated", "series"])
+def test_zero_signal_has_no_relative_risk(tmp_path, capsys, spec):
+    """rbar_star divides by ||S||_n^2: a risk table of a signal that is zero on
+    the design exits 2, while an estimate of it runs."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["risk-table", "--signal", f"series:{path}", "--n", "200", "--M", "2",
+                 "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "n=200" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+    assert main(["estimate", "--signal", f"series:{path}", "--n", "200",
+                 "--out", str(out)]) == EXIT_OK
+
+
+def test_out_that_is_a_file_exits_3(tmp_path, capsys):
+    """An output directory that cannot be made is an I/O error: exit 3, after
+    the estimate is computed and before anything is written."""
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    assert main(["estimate", "--n", "200", "--out", str(out)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "File exists" in captured.err
+    assert str(out) in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert out.read_text() == "kept\n" and list(tmp_path.iterdir()) == [out]
 
 
 @pytest.mark.parametrize("spec, argv, expected", [

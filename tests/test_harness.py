@@ -42,6 +42,16 @@ class TestRunCell:
         with pytest.raises(signals.ValidationError, match="noise-free"):
             run_table(s1, [gaussian, none], [200], 3, base_seed=0)
 
+    def test_zero_signal_rejected_before_its_cells(self, gaussian, monkeypatch):
+        # rbar_star = rbar / ||S||_n^2 has no value when S is zero on the design
+        def refuse(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "_cell", refuse)
+        zero = SignalSpec(kind="series", coefficients=(0.0,), stability_eps=0.5)
+        with pytest.raises(signals.ValidationError, match="n=200"):
+            run_cell(zero, gaussian, 200, 2, base_seed=0)
+
     def test_cell_fields(self, s1, uniform_noise):
         c = run_cell(s1, uniform_noise, 200, 3, base_seed=5, signal_id="s1")
         assert c.noise_family == "uniform_unit_variance"
@@ -163,10 +173,11 @@ class TestContext:
         assert seen == [0]
 
     def test_estimate_on_the_spec_interval(self, gaussian):
-        res = pl.estimate_signal(pl.make_context(self.SERIES, 500), gaussian, seed=3)
-        z = res.context.part.z
+        ctx = pl.make_context(self.SERIES, 500)
+        pl.estimate_signal(ctx, gaussian, seed=3)
+        z = ctx.part.z
         assert np.all((z > 1.0) & (z <= 3.0)) and z[-1] == 3.0
-        assert res.context.basis.a == 1.0
+        assert ctx.basis.a == 1.0
 
     def test_cell_risk_is_the_empirical_norm(self, gaussian):
         # rbar is ||S_star - S||_d^2 on [a, b], the mean of empirical_error over replications

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tvarseq.io as tio
-from tvarseq.io import config_hash, write_csv
+from tvarseq.io import config_hash, write_artifacts, write_csv, write_json
 
 FLOATS = np.array([0.1, 1 / 3, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf])
 INTS = np.array([0, 1, -7, 2 ** 62, 3, 15, 100000, -1], dtype=np.int64)
@@ -132,3 +132,19 @@ def test_floats_round_trip(tmp_path_factory, values, block):
     nan = np.isnan(col)
     assert np.array_equal(np.isnan(back), nan)
     assert back[~nan].tobytes() == col[~nan].tobytes()
+
+
+def test_write_artifacts_writes_what_the_writers_write(tmp_path):
+    # a .csv name is a write_csv table, any other a write_json payload
+    files = {"t.csv": {"x": FLOATS, "k": INTS}, "p.json": {"n": 8, "names": ["a", "b"]},
+             "a.csv": {"flag": BOOLS}}
+    out = tmp_path / "made" / "here"
+    paths = write_artifacts(str(out), CFG, files)
+    assert paths == [str(out / name) for name in ("t.csv", "p.json", "a.csv")]
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    for name, content in files.items():
+        (write_csv if name.endswith(".csv") else write_json)(str(direct / name), CFG, content)
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
+    for name in files:
+        assert (out / name).read_bytes() == (direct / name).read_bytes()

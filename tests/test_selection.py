@@ -204,8 +204,9 @@ class TestStreamedGrid:
         monkeypatch.setattr(WeightGrid, "lam", property(refuse))
         cell = harness.run_cell(s1, gaussian, 1000, 3, 12345)
         assert cell.M == 3 and np.isfinite(cell.rbar)
-        res = pipeline.estimate_signal(pipeline.make_context(s1, 1000), gaussian, 0)
-        assert res.selection.lambda_hat.shape == (res.context.part.d,)
+        ctx = pipeline.make_context(s1, 1000)
+        res = pipeline.estimate_signal(ctx, gaussian, 0)
+        assert res.selection.lambda_hat.shape == (ctx.part.d,)
 
 
 class TestPenaltyAndCriterion:

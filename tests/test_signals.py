@@ -121,6 +121,11 @@ class TestNoise:
         analytic4 = moment_2l(family, 2)
         assert np.mean(x ** 4) == pytest.approx(analytic4, rel=0.10)
 
+    def test_unknown_family_named(self):
+        # the valid families are listed, so the message says what to write instead
+        with pytest.raises(ValidationError, match="'cauchy'.*gaussian_std"):
+            NoiseSpec("cauchy")
+
 
 @pytest.mark.parametrize("spec", [
     tv.signal_s1(),
