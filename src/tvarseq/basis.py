@@ -29,7 +29,13 @@ def trig_fn(j, x, a=0.0, b=1.0):
 
 
 class TrigBasis:
-    """First d trigonometric basis functions with cached values on the z grid."""
+    """First d trigonometric basis functions on the z grid, read through real FFTs.
+
+    On the odd grid z_l = a + l(b-a)/d, phi_2m and phi_2m+1 at z_l are cos and
+    sin of 2 pi m l/d, so the coefficient sums are one rfft and their synthesis
+    one irfft.  The d x d matrix phi of the values is built on each read, for
+    the Gram = I and Parseval gates; no estimate reads it.
+    """
 
     def __init__(self, a, b, d):
         if d % 2 == 0:
@@ -39,24 +45,44 @@ class TrigBasis:
         self.a = float(a)
         self.b = float(b)
         self.d = int(d)
-        offset = (b - a) * np.arange(1, d + 1) / d
-        # phi[l-1, j-1] = phi_j(z_l); reused by every coefficient estimate.  It is
+
+    @property
+    def phi(self):
+        """phi[l-1, j-1] = phi_j(z_l), a new (d, d) array on each read."""
         # evaluated at z_l - a = offset, since recomputing z_l - a from z_l
         # cancels digits when |a| >> b - a and breaks the exact orthonormality.
-        # Filled in place in C order, the layout the products read: phi_2m and
-        # phi_2m+1 are cos and sin of the one argument 2 pi m offset / (b-a)
-        span = b - a
+        # Filled in place in C order: phi_2m and phi_2m+1 are cos and sin of the
+        # one argument 2 pi m offset / (b-a)
+        d, span = self.d, self.b - self.a
+        offset = span * np.arange(1, d + 1) / d
         arg = np.multiply.outer(offset, 2.0 * np.pi * np.arange(1, d // 2 + 1)) / span
-        self.phi = np.empty((d, d))
-        self.phi[:, 0] = 1.0 / np.sqrt(span)
-        np.cos(arg, out=self.phi[:, 1::2])
-        np.sin(arg, out=self.phi[:, 2::2])
-        self.phi[:, 1:] *= np.sqrt(2.0 / span)
-        self.phi.setflags(write=False)
+        phi = np.empty((d, d))
+        phi[:, 0] = 1.0 / np.sqrt(span)
+        np.cos(arg, out=phi[:, 1::2])
+        np.sin(arg, out=phi[:, 2::2])
+        phi[:, 1:] *= np.sqrt(2.0 / span)
+        return phi
 
     def gram(self):
         """Gram matrix of the d basis functions under (., .)_d."""
-        return (self.b - self.a) / self.d * self.phi.T @ self.phi
+        phi = self.phi
+        return (self.b - self.a) / self.d * phi.T @ phi
+
+    def values(self, c):
+        """sum_j c_j phi_j at z_1..z_d: one irfft (per row for an (m, d) stack).
+
+        The half spectrum takes c_1/sqrt(b-a) in bin 0 and (c_2m - i c_2m+1) /
+        sqrt(2(b-a)) in bin m; the unnormalized inverse gives the sum at
+        z_l for l = 1..d-1 in place l and at z_d in place 0.
+        """
+        c = np.asarray(c, dtype=float)
+        span = self.b - self.a
+        scale = 1.0 / np.sqrt(2.0 * span)
+        spec = np.empty(c.shape[:-1] + (self.d // 2 + 1,), complex)
+        spec[..., 0] = c[..., 0] / np.sqrt(span)
+        spec.real[..., 1:] = c[..., 1::2] * scale
+        spec.imag[..., 1:] = c[..., 2::2] * -scale
+        return np.roll(np.fft.irfft(spec, self.d, norm="forward"), -1, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -74,13 +100,29 @@ def fourier_coefficients(basis, Y, sigma2):
     s_{j,d}        = ((b-a)/d) sum_l sigma2_l phi_j(z_l)^2
 
     Y and sigma2 are one sample of length d or an (m, d) stack of samples,
-    which gives one row of coefficients per sample.
+    which gives one row of coefficients per sample.  Each is one rfft of the
+    sample rolled by one place, so that place l holds z_l (z_d in place 0):
+    bin m holds sum_l Y_l (cos - i sin)(2 pi m l/d).  For s_jd, cos^2 and sin^2
+    are (1 +- cos 2x)/2, and frequency 2m aliases to d - 2m.
     """
     Y = np.asarray(Y, dtype=float)
     sigma2 = np.asarray(sigma2, dtype=float)
     if Y.ndim not in (1, 2) or Y.shape[-1] != basis.d or sigma2.shape != Y.shape:
         raise ValidationError(f"expected vectors of length d={basis.d}, or stacks of them")
-    w = (basis.b - basis.a) / basis.d
-    theta_hat = w * (Y @ basis.phi)
-    s_jd = w * (sigma2 @ basis.phi ** 2)
+    d, span = basis.d, basis.b - basis.a
+    spec = np.fft.rfft(np.roll(Y, 1, axis=-1))
+    theta_hat = np.empty(Y.shape)
+    scale = np.sqrt(2.0 * span) / d
+    theta_hat[..., 0] = spec.real[..., 0] * (np.sqrt(span) / d)
+    theta_hat[..., 1::2] = spec.real[..., 1:] * scale
+    theta_hat[..., 2::2] = spec.imag[..., 1:] * -scale
+    cos_sum = np.fft.rfft(np.roll(sigma2, 1, axis=-1)).real
+    total = cos_sum[..., :1]
+    m2 = 2 * np.arange(1, d // 2 + 1)
+    double = cos_sum[..., np.minimum(m2, d - m2)]
+    s_jd = np.empty(Y.shape)
+    s_jd[..., :1] = total
+    np.add(total, double, out=s_jd[..., 1::2])
+    np.subtract(total, double, out=s_jd[..., 2::2])
+    s_jd /= d
     return FourierCoeffs(theta_hat=theta_hat, s_jd=s_jd)

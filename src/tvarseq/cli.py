@@ -134,9 +134,9 @@ def cmd_beta(args):
     payload = {"i_max": i_max}
     if spec.kind == "series":
         payload["l2_error"] = beta_mod.beta_error(beta_hat, spec.coefficients)
-    csv_path, _ = write_artifacts(args.out, run_cfg, {
-        "beta.csv": {"i": range(1, i_max + 1), "beta_hat_i": beta_hat}, "beta.json": payload})
-    print(csv_path)
+    print(*write_artifacts(args.out, run_cfg, {
+        "beta.csv": {"i": range(1, i_max + 1), "beta_hat_i": beta_hat}, "beta.json": payload}),
+        sep="\n")
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ order, so a cell is reproducible bit-for-bit.
 """
 
 from dataclasses import dataclass, field
+import math
 import time
 
 import numpy as np
@@ -111,7 +112,9 @@ def run_table(spec, noise_specs, n_list, M, base_seed, signal_id=""):
     """One cell per (n, noise family), one context per n; robust column is the max over families.
 
     Every input is checked before the first context is built, and each n's
-    ||S||_n^2 before that n's cells run: rbar_star divides by it.
+    ||S||_n^2 before that n's cells run: rbar_star divides by it.  A cell whose
+    rbar_star overflows (a subnormal ||S||_n^2) is rejected before anything
+    is returned.
     """
     if not n_list or not noise_specs:
         raise ValidationError("need nonempty n_list and noise set")
@@ -133,7 +136,11 @@ def run_table(spec, noise_specs, n_list, M, base_seed, signal_id=""):
         if norm_n == 0.0:
             raise ValidationError(f"S is zero on the n={n} design points: ||S||_n^2 = 0, "
                                   "so the relative risk rbar_star is undefined")
-        cells.extend(_cell(ctx, norm_n, noise, M, base_seed, signal_id) for noise in noise_specs)
+        for noise in noise_specs:
+            cells.append(_cell(ctx, norm_n, noise, M, base_seed, signal_id))
+            if not math.isfinite(cells[-1].rbar_star):
+                raise ValidationError(f"||S||_n^2 = {norm_n:.3g} on the n={n} design points is "
+                                      "too small: the relative risk rbar_star overflows")
         del ctx  # free this n's context before the next one is built
     robust = {n: max(c.rbar for c in cells if c.n == n) for n in n_list}
     return RiskReport(cells=tuple(cells), base_seed=base_seed, robust=robust)

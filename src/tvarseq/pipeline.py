@@ -27,9 +27,10 @@ class PipelineContext:
 def make_context(spec, n):
     """Everything a cell reuses, with the penalty delta_n of default_delta.  The
     spec was certified stable when it was built.  Once the partition has checked
-    n, S is evaluated first: its FFT is the context's largest transient, so it
-    runs before the basis and the grid are held.  S_grid (S at z_1..z_d) is
-    read-only, as every cell of this n shares it."""
+    n, S is evaluated first: its inverse FFT is the context's largest transient,
+    so it runs before the grid is held.  Both evaluations read the amplitudes
+    that the spec's certificate computed.  S_grid (S at z_1..z_d) is read-only,
+    as every cell of this n shares it."""
     part = seq.compute_partition(n, spec.a, spec.b)
     S_design = signal_values_uniform(spec, n)
     S_grid = signal_values_uniform(spec, part.d)[1:]

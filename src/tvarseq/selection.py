@@ -201,7 +201,7 @@ def select(coeffs, grid, delta, basis):
 
 def weighted_estimate_values(lam, coeffs, basis):
     """Values of the shrinkage estimator S_hat_lambda at the z grid (per row for a stack)."""
-    return (np.asarray(lam, dtype=float) * coeffs.theta_hat) @ basis.phi.T
+    return basis.values(np.asarray(lam, dtype=float) * coeffs.theta_hat)
 
 
 def empirical_error(S_values, estimate_values, a, b, d):

@@ -8,6 +8,7 @@ the robust risk being the max over the two.
 """
 
 from dataclasses import dataclass, field
+import functools
 import json
 import math
 
@@ -78,6 +79,23 @@ class SignalSpec:
             cfg["values"] = list(self.values)
         return cfg
 
+    @functools.cached_property
+    def _amplitudes(self):
+        """trig_amplitudes of a series kind, computed on first read."""
+        if self.kind == "closed_form_S1":
+            c0, A, B = 0.0, np.array([0.5]), np.zeros(1)
+        elif self.kind == "closed_form_S2":
+            m = np.arange(1, S2_SERIES_CUTOFF + 1)
+            c0, A, B = 0.1, (m + 3.0) ** -2.0, np.zeros(S2_SERIES_CUTOFF)
+        else:  # psi_1 = 1/sqrt(b-a), psi_2m | psi_2m+1 = sqrt(2/(b-a)) cos | sin
+            beta = np.append(self.coefficients, np.zeros(1 - len(self.coefficients) % 2))
+            span = self.b - self.a
+            scale = math.sqrt(2.0 / span)
+            c0, A, B = beta[0] / math.sqrt(span), scale * beta[1::2], scale * beta[2::2]
+        A.setflags(write=False)
+        B.setflags(write=False)
+        return c0, A, B
+
     @classmethod
     def from_dict(cls, cfg):
         """A spec from a JSON object (lists become tuples); a bad or missing key is named."""
@@ -111,27 +129,22 @@ def signal_s2():
 def trig_amplitudes(spec):
     """(c0, A, B) with S = c0 + sum_m A[m-1] cos(2 pi m u) + B[m-1] sin(2 pi m u).
 
-    u = (x-a)/(b-a).  Every kind but "tabulated" is such a series.
+    u = (x-a)/(b-a).  Every kind but "tabulated" is such a series.  A spec
+    computes them once, when its certificate reads them, and holds them
+    read-only: the context's two evaluations of S reuse them.
     """
-    if spec.kind == "closed_form_S1":
-        return 0.0, np.array([0.5]), np.zeros(1)
-    if spec.kind == "closed_form_S2":
-        m = np.arange(1, S2_SERIES_CUTOFF + 1)
-        return 0.1, (m + 3.0) ** -2.0, np.zeros(S2_SERIES_CUTOFF)
-    if spec.kind == "series":  # psi_1 = 1/sqrt(b-a), psi_2m | psi_2m+1 = sqrt(2/(b-a)) cos | sin
-        beta = np.append(spec.coefficients, np.zeros(1 - len(spec.coefficients) % 2))
-        span = spec.b - spec.a
-        scale = math.sqrt(2.0 / span)
-        return beta[0] / math.sqrt(span), scale * beta[1::2], scale * beta[2::2]
-    raise ValidationError("a tabulated signal has no trigonometric amplitudes")
+    if spec.kind == "tabulated":
+        raise ValidationError("a tabulated signal has no trigonometric amplitudes")
+    return spec._amplitudes
 
 
 def signal_values_uniform(spec, N):
     """S at the N+1 uniform points a + (b-a)*i/N, i = 0..N.
 
-    For a series, term m at u = i/N depends on m only through m mod N: the
-    amplitudes fold into an N-point spectrum A + iB, and one FFT sums the
-    series exactly, as Re((A + iB) e^{-i theta}) = A cos(theta) + B sin(theta).
+    For a series, term m at u = i/N depends on m only through k = m mod N, and
+    term k equals term N - k with the sign of its sine flipped: the amplitudes
+    fold into the N/2 + 1 bins of a Hermitian half spectrum, and one inverse
+    real FFT sums the series exactly.
     """
     if spec.kind == "tabulated":
         return np.interp(spec.a + (spec.b - spec.a) * np.arange(N + 1) / N,
@@ -140,16 +153,40 @@ def signal_values_uniform(spec, N):
 
 
 def _series_values(c0, A, B, N):
-    """The series c0 + sum_m A_m cos(2 pi m u) + B_m sin(2 pi m u) at u = i/N, i = 0..N."""
-    k = np.arange(1, len(A) + 1) % N
-    spec = np.empty(N, complex)
-    spec.real = np.bincount(k, A, N)
-    spec.imag = np.bincount(k, B, N)
-    np.fft.fft(spec, out=spec)
+    """The series c0 + sum_m A_m cos(2 pi m u) + B_m sin(2 pi m u) at u = i/N, i = 0..N.
+
+    Term m acts as term k = m mod N (_fold), and term k > N/2 as term N - k with
+    its sine negated.  So bin j = min(k, N - k) of a half spectrum takes
+    (A_k - iB_k)/2, or (A_k + iB_k)/2 for k > N/2; bins 0 and N/2 (N even) take
+    their terms whole.  The unnormalized inverse real FFT then gives
+    bin_0 + sum_j 2 Re(bin_j e^{2 pi i j u}) (+ bin_{N/2} (-1)^i): the series.
+    """
+    bins = N // 2 + 1
+    a, b = _fold(c0, A, N), _fold(0.0, B, N)
+    spec = np.zeros(bins, complex)
+    spec.real[:len(a)] = a[:bins]
+    spec.imag[:len(b)] = -b[:bins]
+    mirror = slice(N - bins, N - len(a), -1)  # bins N - k for k = bins, bins + 1, ..
+    spec.real[mirror] += a[bins:]
+    spec.imag[mirror] += b[bins:]
+    spec[1:(N + 1) // 2] *= 0.5
     vals = np.empty(N + 1)
-    np.add(c0, spec.real, out=vals[:N])
+    np.fft.irfft(spec, N, norm="forward", out=vals[:N])
     vals[N] = vals[0]  # u = 1 wraps to u = 0
     return vals
+
+
+def _fold(c0, amp, N):
+    """t_k = sum of the terms m = 0..L (term 0 is c0, term m is amp[m-1]) with
+    m = k mod N, for k < min(N, L + 1), summed in the order of m: one sum over
+    the rows of the terms laid out N to a row."""
+    terms = np.concatenate(([c0], amp))
+    rows, rest = divmod(len(terms), N)
+    if rows == 0:
+        return terms
+    folded = terms[:rows * N].reshape(rows, N).sum(axis=0)
+    folded[:rest] += terms[rows * N:]
+    return folded
 
 
 def validate_stability(spec, n):

@@ -200,6 +200,7 @@ def test_criterion_04_structural_identities(s1, gaussian):
 
 def test_criterion_05_parseval_reconstruction(s1, gaussian):
     ctx = make_context(s1, 200)
+    phi = ctx.basis.phi
     worst_p = worst_r = 0.0
     for r in range(1, 101):
         traj = generate_trajectory(s1, gaussian, 200, replication_seed(BASE_SEED, r),
@@ -209,7 +210,7 @@ def test_criterion_05_parseval_reconstruction(s1, gaussian):
         norm_d = float(reg.Y @ reg.Y) / ctx.part.d
         if norm_d > 0:
             worst_p = max(worst_p, abs(float(c.theta_hat @ c.theta_hat) - norm_d) / norm_d)
-        worst_r = max(worst_r, float(np.max(np.abs(ctx.basis.phi @ c.theta_hat - reg.Y))))
+        worst_r = max(worst_r, float(np.max(np.abs(phi @ c.theta_hat - reg.Y))))
     ok = worst_p < 1e-9 and worst_r < 1e-8
     detail = f"parseval={worst_p:.2e}, reconstruction={worst_r:.2e}"
     record(5, "Parseval and grid reconstruction (100 samples)", ok, detail)

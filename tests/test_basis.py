@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from tvarseq import harness, pipeline
 from tvarseq.basis import FourierCoeffs, TrigBasis, fourier_coefficients, trig_fn
+from tvarseq.selection import weighted_estimate_values
 from tvarseq.signals import ValidationError
 
 
@@ -31,10 +33,10 @@ class TestBasisEval:
 
     def test_trig_fn_matches_basis(self):
         # the cached grid values are trig_fn at z_l = a + l (b-a)/d
-        basis = TrigBasis(1.0, 3.0, 15)
+        phi = TrigBasis(1.0, 3.0, 15).phi
         z = 1.0 + 2.0 * np.arange(1, 16) / 15
         for j in (1, 2, 3, 8, 15):
-            np.testing.assert_allclose(basis.phi[:, j - 1], trig_fn(j, z, 1.0, 3.0),
+            np.testing.assert_allclose(phi[:, j - 1], trig_fn(j, z, 1.0, 3.0),
                                        atol=1e-14)
 
     @pytest.mark.parametrize("a, b, d", [(0.0, 1.0, 101), (1.0, 3.0, 15), (-2.5, 7.0, 1001)])
@@ -117,5 +119,37 @@ class TestFourierCoefficients:
         S_grid = ctx_1000.S_grid
         c = fourier_coefficients(basis, S_grid, np.zeros(len(S_grid)))
         w = (basis.b - basis.a) / basis.d
-        direct = np.array([w * float(S_grid @ basis.phi[:, j]) for j in range(basis.d)])
+        phi = basis.phi
+        direct = np.array([w * float(S_grid @ phi[:, j]) for j in range(basis.d)])
         np.testing.assert_allclose(c.theta_hat, direct, atol=1e-12)
+
+
+class TestRealFFT:
+    """The rfft analysis (theta_hat, s_jd) and the irfft synthesis (S*) against the
+    phi products that define them."""
+
+    @pytest.mark.parametrize("d", [15, 101, 1001])
+    @pytest.mark.parametrize("rows", [(), (4,)], ids=["one", "stack"])
+    def test_matches_phi_products(self, rng, d, rows):
+        basis = TrigBasis(1.0, 3.0, d)
+        phi, w = basis.phi, 2.0 / d
+        Y = rng.standard_normal(rows + (d,))
+        sigma2 = rng.random(rows + (d,))
+        lam = rng.random(rows + (d,))
+        c = fourier_coefficients(basis, Y, sigma2)
+        S_star = weighted_estimate_values(lam, c, basis)
+        for got, want in ((c.theta_hat, w * (Y @ phi)), (c.s_jd, w * (sigma2 @ phi ** 2)),
+                          (S_star, (lam * c.theta_hat) @ phi.T)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_no_estimate_reads_phi(self, monkeypatch, s1, gaussian):
+        def refuse(basis):
+            raise AssertionError("the d x d basis matrix was built")
+        monkeypatch.setattr(TrigBasis, "phi", property(refuse))
+        cell = harness.run_cell(s1, gaussian, 1000, 3, 12345)
+        assert cell.M == 3 and np.isfinite(cell.rbar)
+        ctx = pipeline.make_context(s1, 1000)
+        assert set(vars(ctx.basis)) == {"a", "b", "d"}  # the context holds no matrix
+        res = pipeline.estimate_signal(ctx, gaussian, 0)
+        assert res.selection.S_star.shape == (ctx.part.d,)

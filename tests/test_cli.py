@@ -317,10 +317,13 @@ def test_outside_input_named(tmp_path, capsys, spec, argv, named):
 @pytest.mark.parametrize("spec", [
     {"kind": "tabulated", "values": [0.0, 0.0], "stability_eps": 0.5},
     {"kind": "series", "coefficients": [0.0], "stability_eps": 0.5},
-], ids=["tabulated", "series"])
+    # ||S||_n^2 = 2e-320 is subnormal: rbar / ||S||_n^2 overflows to inf
+    {"kind": "tabulated", "values": [1e-160, 1e-160], "stability_eps": 0.5},
+], ids=["tabulated", "series", "subnormal"])
 def test_zero_signal_has_no_relative_risk(tmp_path, capsys, spec):
-    """rbar_star divides by ||S||_n^2: a risk table of a signal that is zero on
-    the design exits 2, while an estimate of it runs."""
+    """rbar_star divides by ||S||_n^2: a risk table of a signal that is zero, or
+    too small for that ratio to be finite, on the design exits 2, while an
+    estimate of it runs."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     out = tmp_path / "out"
@@ -413,6 +416,11 @@ class TestBeta:
         rows = (tmp_path / "beta.csv").read_text().splitlines()[2:]
         beta2 = float(rows[1].split(",")[1])
         assert abs(beta2 - 0.3) < 0.02
+
+    def test_prints_every_path_it_writes(self, tmp_path, capsys):
+        assert run(tmp_path, "beta", "--n", "200", "--noise", "none") == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            str(tmp_path / "beta.csv"), str(tmp_path / "beta.json")]
 
 
 class TestConfigFile:

@@ -14,11 +14,11 @@ N = 10 ** 6
 
 # Ceilings in MiB of memory traced during the call.  One more n-float (7.6 MiB)
 # transient in any layer breaks its ceiling.  Measured with numpy 2.4 (S1 / S2):
-#   signal_values_uniform  23.0 / 25.2   (the FFT's spectrum and the result)
-#   make_context           22.9 / 25.2   (the same FFT, run first)
+#   signal_values_uniform  15.3 / 16.9   (the half spectrum, the irfft and the result)
+#   make_context           15.3 / 16.9   (the same irfft, run first)
 #   generate_trajectory    14.4 / 13.7   (the path and one group's arrays)
 #   build_regression        5.1 /  5.1   (one group of windows)
-CEILING_MIB = {"signal_values_uniform": 28.0, "make_context": 28.0,
+CEILING_MIB = {"signal_values_uniform": 21.0, "make_context": 21.0,
                "generate_trajectory": 20.0, "build_regression": 10.0}
 
 

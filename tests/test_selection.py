@@ -272,14 +272,14 @@ class TestPenaltyAndCriterion:
     def test_criterion_identity_random_instances(self, rng):
         # Er_d(lam) - sum theta_d^2 == sum lam^2 th^2 - 2 sum lam th theta_d
         d = 5
-        basis = TrigBasis(0.0, 1.0, d)
+        phi = TrigBasis(0.0, 1.0, d).phi
         for _ in range(25):
             theta_d = rng.normal(size=d)
             zeta = rng.normal(size=d) * 0.1
             theta_hat = theta_d + zeta
             lam = rng.uniform(0.0, 1.0, d)
-            S_vals = basis.phi @ theta_d
-            est = basis.phi @ (lam * theta_hat)
+            S_vals = phi @ theta_d
+            est = phi @ (lam * theta_hat)
             lhs = empirical_error(S_vals, est, 0.0, 1.0, d) - float(theta_d @ theta_d)
             rhs = float((lam ** 2) @ theta_hat ** 2) - 2.0 * float(lam @ (theta_hat * theta_d))
             assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -310,8 +310,9 @@ class TestSelect:
         res = select(coeffs, grid, 1e-6, basis)
         lam = grid.lam
         W = lam.shape[1]  # every weight beyond the band is 0
+        phi = basis.phi[:, :W]
         errors = np.array([
-            empirical_error(S_grid, basis.phi[:, :W] @ (lam[i] * coeffs.theta_hat[:W]),
+            empirical_error(S_grid, phi @ (lam[i] * coeffs.theta_hat[:W]),
                             0.0, 1.0, d)
             for i in range(grid.nu)
         ])

@@ -50,6 +50,40 @@ def scattered_series(spec, x):
     return out
 
 
+def direct_series(c0, A, B, N):
+    """Reference for the half-spectrum fold: the series at u = i/N, i = 0..N, summed
+    term by term.  m i is reduced mod N in integers, so that each argument is
+    exact before it is scaled by 2 pi / N."""
+    i = np.arange(N + 1)[:, None]
+    m = np.arange(1, len(A) + 1)[None, :]
+    arg = 2.0 * np.pi * (i * m % N) / N
+    return c0 + np.cos(arg) @ np.asarray(A) + np.sin(arg) @ np.asarray(B)
+
+
+class TestSeriesValues:
+    """_series_values, the one evaluator of a series on a uniform grid, against direct sums."""
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 64, 101])
+    @pytest.mark.parametrize("terms", [1, 2, 7, 250])  # 250 > N: terms wrap around mod N
+    def test_matches_direct_sum(self, rng, N, terms):
+        c0, A, B = rng.standard_normal(), rng.standard_normal(terms), rng.standard_normal(terms)
+        got, want = signals._series_values(c0, A, B, N), direct_series(c0, A, B, N)
+        assert got.shape == (N + 1,) and got[N] == got[0]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("N", [2, 3, 16, 45])
+    def test_sine_terms_off_the_unit_interval(self, N):
+        # psi_3 and psi_5 are sines on [1, 3]: nonzero B, read through the spec
+        spec = SignalSpec(kind="series", a=1.0, b=3.0, coefficients=(0.1, 0.2, -0.3, 0.05, 0.15),
+                          stability_eps=0.2, lipschitz_L=10.0)
+        x = spec.a + (spec.b - spec.a) * np.arange(N + 1) / N
+        want = sum(beta * tv.trig_fn(i, x, spec.a, spec.b)
+                   for i, beta in enumerate(spec.coefficients, start=1))
+        assert np.any(trig_amplitudes(spec)[2] != 0.0)
+        got = signal_values_uniform(spec, N)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestEvaluateSignal:
     """S at chosen points, read off the uniform grid a + (b-a) i/N that holds them."""
 

@@ -1,6 +1,6 @@
 """Compare what two source trees write for one fixed battery of CLI commands.
 
-    python3 tools/artifact_diff.py PARENT_SRC CHANGE_SRC
+    python3 tools/artifact_diff.py [--rtol TOL] PARENT_SRC CHANGE_SRC
 
 Each side runs in a fresh python3 process with PYTHONPATH=<its src> and
 OPENBLAS_NUM_THREADS=1, which calls tvarseq.cli.main once per command of
@@ -10,17 +10,30 @@ pinsker's JSON echoes the spec file's path.  Per command, the exit code and
 the sha256 of stdout, of stderr and of each written file's name and bytes are
 compared.  Prints each command that differs; exits 1 if any does, else 0
 (2 if a side could not run).
+
+With --rtol TOL the written files are parsed instead of hashed, for a change
+that may move last digits.  A CSV column or a JSON value is a float field if
+every value in it is a float on both sides; its difference is max|a - b| over
+the field divided by the field's largest |value|.  Every other field (an
+integer or 0/1 column such as tau_l and gamma_l, a JSON int, bool or string
+such as selected_k) must be equal.  Prints the largest float difference per
+file name, and each command whose exit code, stdout, stderr, file names or
+exact fields differ, or whose float differences exceed TOL; exits 1 if any
+command does, else 0.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 SPECS = {
     # S = 0.3 psi_2 + 0.1 psi_5 on [1, 3], off the default interval
@@ -106,6 +119,91 @@ def differences(before, after):
     return sorted(diffs)
 
 
+def _column(cells):
+    """A CSV column as a float array, or as its text if it holds integers or words."""
+    if all(cell.lstrip("-").isdigit() for cell in cells):
+        return cells
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        return cells
+
+
+def _leaves(doc, path=""):
+    """{dotted path: value} of every leaf of a JSON document, each as a one-value field."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return {k: v for key, sub in items for k, v in _leaves(sub, f"{path}.{key}").items()}
+    return {path.lstrip("."): np.array([doc]) if type(doc) is float else [doc]}
+
+
+def fields(path):
+    """A written file as {field: values}, a float field as an array: a CSV's
+    columns (its '#' lines as one field), or the leaves of a JSON document."""
+    with open(path, encoding="utf-8") as fh:
+        if not path.endswith(".csv"):
+            return _leaves(json.load(fh))
+        lines = fh.read().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    table = {"#": [line for line in lines if line.startswith("#")]}
+    for name, cells in zip(rows[0], zip(*rows[1:]) if len(rows) > 1 else [()] * len(rows[0])):
+        table[name] = _column(list(cells))
+    return table
+
+
+def _relative(a, b):
+    """max|a - b| / max|a| over one float field; equal values (nan included) count 0."""
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    if same.all():
+        return 0.0
+    scale = max(np.max(np.abs(a[np.isfinite(a)]), initial=0.0),
+                np.max(np.abs(b[np.isfinite(b)]), initial=0.0))
+    diff = np.nan_to_num(np.abs(a - b)[~same], nan=math.inf)  # nan against a number
+    return float(np.max(diff) / scale) if scale > 0 else math.inf
+
+
+def compare_file(before, after):
+    """(largest float-field difference, [exact field differences]) of two written files."""
+    fa, fb = fields(before), fields(after)
+    if fa.keys() != fb.keys():
+        return 0.0, [f"fields {sorted(fa.keys() ^ fb.keys())}"]
+    worst, exact = 0.0, []
+    for name, a in fa.items():
+        b = fb[name]
+        if len(a) != len(b):
+            exact.append(f"{name}: {len(a)} against {len(b)} values")
+        elif isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+            worst = max(worst, _relative(a, b))
+        elif list(a) != list(b):
+            exact.append(f"{name}: {sum(x != y for x, y in zip(a, b))} of {len(a)} values")
+    return worst, exact
+
+
+def rtol_differences(before, after, dirs, rtol):
+    """({file name: (files, largest difference)}, [(command, what differs)]) of two
+    sides whose files lie under dirs[0] and dirs[1], one directory per command
+    in battery order."""
+    per_name, diffs = {}, []
+    for i, cmd in enumerate(before):
+        a, b = before[cmd], after.get(cmd)
+        if b is None:
+            diffs.append((cmd, ["missing"]))
+            continue
+        parts = [k for k in ("exit", "stdout", "stderr") if a[k] != b[k]]
+        if a["files"].keys() != b["files"].keys():
+            parts.append("file names")
+        for name in sorted(a["files"].keys() & b["files"].keys()):
+            worst, exact = compare_file(*(os.path.join(d, str(i), name) for d in dirs))
+            count, largest = per_name.get(name, (0, 0.0))
+            per_name[name] = (count + 1, max(largest, worst))
+            parts += [f"{name} {what}" for what in exact]
+            if worst > rtol:
+                parts.append(f"{name} {worst:.3g} > rtol")
+        if parts:
+            diffs.append((cmd, parts))
+    return per_name, diffs
+
+
 def main(argv):
     if len(argv) == 3 and argv[0] == "--side":
         import tvarseq
@@ -113,25 +211,47 @@ def main(argv):
             sys.exit(f"tvarseq was imported from {tvarseq.__file__}, not from {argv[1]}")
         print(json.dumps(run_side(argv[2])))
         return 0
-    if len(argv) != 2:
-        print("usage: python3 tools/artifact_diff.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+    rtol = None
+    if len(argv) == 4 and argv[0] == "--rtol":
+        try:
+            rtol = float(argv[1])
+        except ValueError:
+            rtol = math.nan
+        argv = argv[2:]
+    if len(argv) != 2 or not (rtol is None or rtol >= 0):
+        print("usage: python3 tools/artifact_diff.py [--rtol TOL] PARENT_SRC CHANGE_SRC",
+              file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="artifact_diff_") as root:
         for name, spec in SPECS.items():
             with open(os.path.join(root, f"{name}.json"), "w") as fh:
                 json.dump(spec, fh)
-        sides = []
+        sides, dirs = [], []
         for src in argv:
             try:
                 sides.append(collect(src, root))
             except RuntimeError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            shutil.rmtree(os.path.join(root, "out"), ignore_errors=True)
-    diffs = differences(*sides)
-    for cmd, parts in diffs:
+            # both sides write the same paths; --rtol keeps each side's files to parse
+            out = os.path.join(root, "out")
+            if rtol is None:
+                shutil.rmtree(out, ignore_errors=True)
+            else:
+                dirs.append(os.path.join(root, f"side{len(dirs)}"))
+                os.rename(out, dirs[-1])
+        if rtol is not None:
+            per_name, diffs = rtol_differences(*sides, dirs, rtol)
+    if rtol is None:
+        diffs = differences(*sides)
+    else:
+        print("largest relative difference per file name:")
+        for name, (count, largest) in sorted(per_name.items()):
+            print(f"  {name:44s} {largest:9.3g}  ({count} files)")
+    for cmd, parts in sorted(diffs):
         print(f"differs: {cmd}  [{', '.join(parts)}]")
-    print(f"{len(sides[0])} commands, {len(diffs)} differ")
+    beyond = "" if rtol is None else f" beyond rtol {rtol:g}"
+    print(f"{len(sides[0])} commands, {len(diffs)} differ{beyond}")
     return 1 if diffs else 0
 
 
