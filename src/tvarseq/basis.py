@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ValidationError
+from .signals import ValidationError, _psi_amplitudes, _series_values
 
 
 def trig_fn(j, x, a=0.0, b=1.0):
@@ -33,8 +33,8 @@ class TrigBasis:
 
     On the odd grid z_l = a + l(b-a)/d, phi_2m and phi_2m+1 at z_l are cos and
     sin of 2 pi m l/d, so the coefficient sums are one rfft and their synthesis
-    one irfft.  The d x d matrix phi of the values is built on each read, for
-    the Gram = I and Parseval gates; no estimate reads it.
+    is a series signal's, one irfft.  The d x d matrix phi of the values is
+    built on each read, for the Gram = I and Parseval gates; no estimate reads it.
     """
 
     def __init__(self, a, b, d):
@@ -69,20 +69,9 @@ class TrigBasis:
         return (self.b - self.a) / self.d * phi.T @ phi
 
     def values(self, c):
-        """sum_j c_j phi_j at z_1..z_d: one irfft (per row for an (m, d) stack).
-
-        The half spectrum takes c_1/sqrt(b-a) in bin 0 and (c_2m - i c_2m+1) /
-        sqrt(2(b-a)) in bin m; the unnormalized inverse gives the sum at
-        z_l for l = 1..d-1 in place l and at z_d in place 0.
-        """
-        c = np.asarray(c, dtype=float)
-        span = self.b - self.a
-        scale = 1.0 / np.sqrt(2.0 * span)
-        spec = np.empty(c.shape[:-1] + (self.d // 2 + 1,), complex)
-        spec[..., 0] = c[..., 0] / np.sqrt(span)
-        spec.real[..., 1:] = c[..., 1::2] * scale
-        spec.imag[..., 1:] = c[..., 2::2] * -scale
-        return np.roll(np.fft.irfft(spec, self.d, norm="forward"), -1, axis=-1)
+        """sum_j c_j phi_j at z_1..z_d (per row for an (m, d) stack): the synthesis of a
+        series signal on the d-point grid, whose place l is u = l/d, that is z_l."""
+        return _series_values(*_psi_amplitudes(c, self.a, self.b), self.d)[..., 1:]
 
 
 @dataclass(frozen=True)

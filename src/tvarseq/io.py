@@ -11,6 +11,8 @@ import os
 
 import numpy as np
 
+from .signals import ValidationError
+
 
 def config_hash(cfg):
     """SHA-256 over the canonical JSON encoding of a config mapping."""
@@ -50,7 +52,7 @@ def write_csv(path, cfg, table):
     columns = [np.asarray(values) for values in table.values()]
     lengths = {len(col) for col in columns}
     if len(lengths) > 1:
-        raise ValueError(f"columns of unequal length {sorted(lengths)}: {list(table)}")
+        raise ValidationError(f"columns of unequal length {sorted(lengths)}: {list(table)}")
     n_rows = lengths.pop() if lengths else 0
     row = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -87,11 +87,8 @@ class SignalSpec:
         elif self.kind == "closed_form_S2":
             m = np.arange(1, S2_SERIES_CUTOFF + 1)
             c0, A, B = 0.1, (m + 3.0) ** -2.0, np.zeros(S2_SERIES_CUTOFF)
-        else:  # psi_1 = 1/sqrt(b-a), psi_2m | psi_2m+1 = sqrt(2/(b-a)) cos | sin
-            beta = np.append(self.coefficients, np.zeros(1 - len(self.coefficients) % 2))
-            span = self.b - self.a
-            scale = math.sqrt(2.0 / span)
-            c0, A, B = beta[0] / math.sqrt(span), scale * beta[1::2], scale * beta[2::2]
+        else:
+            c0, A, B = _psi_amplitudes(self.coefficients, self.a, self.b)
         A.setflags(write=False)
         B.setflags(write=False)
         return c0, A, B
@@ -138,6 +135,16 @@ def trig_amplitudes(spec):
     return spec._amplitudes
 
 
+def _psi_amplitudes(c, a, b):
+    """(c0, A, B) of sum_j c_j psi_j on [a, b], along the last axis of c (one row per
+    leading index): psi_1 = 1/sqrt(b-a), psi_2m | psi_2m+1 = sqrt(2/(b-a)) cos | sin."""
+    c = np.asarray(c, dtype=float)
+    if c.shape[-1] % 2 == 0:
+        c = np.concatenate((c, np.zeros(c.shape[:-1] + (1,))), axis=-1)
+    span, scale = b - a, math.sqrt(2.0 / (b - a))
+    return c[..., 0] / math.sqrt(span), scale * c[..., 1::2], scale * c[..., 2::2]
+
+
 def signal_values_uniform(spec, N):
     """S at the N+1 uniform points a + (b-a)*i/N, i = 0..N.
 
@@ -153,7 +160,8 @@ def signal_values_uniform(spec, N):
 
 
 def _series_values(c0, A, B, N):
-    """The series c0 + sum_m A_m cos(2 pi m u) + B_m sin(2 pi m u) at u = i/N, i = 0..N.
+    """The series c0 + sum_m A_m cos(2 pi m u) + B_m sin(2 pi m u) at u = i/N, i = 0..N,
+    along the last axis (one series per leading index of c0, A and B).
 
     Term m acts as term k = m mod N (_fold), and term k > N/2 as term N - k with
     its sine negated.  So bin j = min(k, N - k) of a half spectrum takes
@@ -162,30 +170,30 @@ def _series_values(c0, A, B, N):
     bin_0 + sum_j 2 Re(bin_j e^{2 pi i j u}) (+ bin_{N/2} (-1)^i): the series.
     """
     bins = N // 2 + 1
-    a, b = _fold(c0, A, N), _fold(0.0, B, N)
-    spec = np.zeros(bins, complex)
-    spec.real[:len(a)] = a[:bins]
-    spec.imag[:len(b)] = -b[:bins]
-    mirror = slice(N - bins, N - len(a), -1)  # bins N - k for k = bins, bins + 1, ..
-    spec.real[mirror] += a[bins:]
-    spec.imag[mirror] += b[bins:]
-    spec[1:(N + 1) // 2] *= 0.5
-    vals = np.empty(N + 1)
-    np.fft.irfft(spec, N, norm="forward", out=vals[:N])
-    vals[N] = vals[0]  # u = 1 wraps to u = 0
+    a, b = _fold(c0, A, N), _fold(np.zeros(np.shape(c0)), B, N)
+    spec = np.zeros(a.shape[:-1] + (bins,), complex)
+    spec.real[..., :a.shape[-1]] = a[..., :bins]
+    spec.imag[..., :b.shape[-1]] = -b[..., :bins]
+    mirror = slice(N - bins, N - a.shape[-1], -1)  # bins N - k for k = bins, bins + 1, ..
+    spec.real[..., mirror] += a[..., bins:]
+    spec.imag[..., mirror] += b[..., bins:]
+    spec[..., 1:(N + 1) // 2] *= 0.5
+    vals = np.empty(a.shape[:-1] + (N + 1,))
+    np.fft.irfft(spec, N, norm="forward", out=vals[..., :N])
+    vals[..., N] = vals[..., 0]  # u = 1 wraps to u = 0
     return vals
 
 
 def _fold(c0, amp, N):
     """t_k = sum of the terms m = 0..L (term 0 is c0, term m is amp[m-1]) with
     m = k mod N, for k < min(N, L + 1), summed in the order of m: one sum over
-    the rows of the terms laid out N to a row."""
-    terms = np.concatenate(([c0], amp))
-    rows, rest = divmod(len(terms), N)
+    the rows of the terms laid out N to a row (per leading index)."""
+    terms = np.concatenate((np.expand_dims(c0, -1), amp), axis=-1)
+    rows, rest = divmod(terms.shape[-1], N)
     if rows == 0:
         return terms
-    folded = terms[:rows * N].reshape(rows, N).sum(axis=0)
-    folded[:rest] += terms[rows * N:]
+    folded = terms[..., :rows * N].reshape(terms.shape[:-1] + (rows, N)).sum(axis=-2)
+    folded[..., :rest] += terms[..., rows * N:]
     return folded
 
 

@@ -1,5 +1,5 @@
 """tools/artifact_diff.py: a tree against itself, and against a copy that moves the
-estimate; its --rtol mode on the same tree and on hand-written files."""
+estimate; its comparison on hand-written files and side directories; its usage."""
 
 import importlib.util
 import json
@@ -8,6 +8,8 @@ import os
 import shutil
 import subprocess
 import sys
+
+import pytest
 
 import tvarseq
 
@@ -23,7 +25,13 @@ def diff(*argv):
 def test_same_tree_exits_0():
     proc = diff(SRC, SRC)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.endswith(" commands, 0 differ\n")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "largest relative difference per file name:"
+    per_name = [line.split() for line in lines[1:-1]]
+    assert {row[0] for row in per_name} >= {"coefficients.csv", "s_star.csv", "selection.json",
+                                            "seq_points.csv", "risk_table.csv", "beta.csv"}
+    assert all(row[1] == "0" for row in per_name)
+    assert lines[-1] == "62 commands, 62 byte-identical, 0 differ beyond rtol 1e-12"
 
 
 def test_changed_estimate_is_named(tmp_path):
@@ -36,18 +44,6 @@ def test_changed_estimate_is_named(tmp_path):
     proc = diff(SRC, str(copy))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert any(line.startswith("differs: estimate ") for line in proc.stdout.splitlines())
-
-
-def test_rtol_same_tree_exits_0():
-    proc = diff("--rtol", "1e-12", SRC, SRC)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "largest relative difference per file name:"
-    per_name = [line.split() for line in lines[1:-1]]
-    assert {row[0] for row in per_name} >= {"coefficients.csv", "s_star.csv", "selection.json",
-                                            "seq_points.csv", "risk_table.csv", "beta.csv"}
-    assert all(row[1] == "0" for row in per_name)
-    assert lines[-1].endswith(" commands, 0 differ beyond rtol 1e-12")
 
 
 def load_tool():
@@ -75,3 +71,57 @@ def test_rtol_compares_floats_by_scale_and_the_rest_exactly(tmp_path):
     assert worst == abs(J + 0.25) / abs(J)  # nan against nan is no difference
     assert exact == ["selected_k: 1 of 1 values", "gamma: 1 of 1 values"]
     assert tool.compare_file(str(before), str(before)) == (0.0, [])
+
+
+def sides(tmp_path, before, after):
+    """(records, records, dirs) of two sides of one command that wrote {name: text} each."""
+    records, dirs = [], []
+    for i, files in enumerate((before, after)):
+        out = tmp_path / f"side{i}"
+        (out / "0").mkdir(parents=True)
+        for name, text in files.items():
+            (out / "0" / name).write_text(text)
+        records.append({"cmd": {"exit": 0, "stdout": "", "stderr": "", "files": sorted(files)}})
+        dirs.append(str(out))
+    return *records, dirs
+
+
+def test_byte_equal_file_is_not_parsed(tmp_path, capsys):
+    tool = load_tool()
+    files = {"broken.json": "{not json", "t.csv": "# config_hash=x\nl\n1\n"}
+    both = sides(tmp_path, files, files)
+    assert tool.compare(*both) == ({"broken.json": (1, 0.0), "t.csv": (1, 0.0)}, 1, [])
+    assert tool.report(*both) == 0
+    assert capsys.readouterr().out.endswith(
+        "\n1 commands, 1 byte-identical, 0 differ beyond rtol 1e-12\n")
+
+
+BEFORE = "# config_hash=x\nl,z_l,tau_l\n1,0.5,3\n2,-2.0,4\n"
+
+
+@pytest.mark.parametrize("after, figure, differs", [
+    (BEFORE.replace("-2.0,", "-2.000000000000002,"), 1e-15, None),
+    (BEFORE.replace("-2.0,", "-2.000000002,"), 1e-9, "t.csv 1e-09 > rtol"),
+    (BEFORE.replace(",4\n", ",5\n"), 0.0, "t.csv tau_l: 1 of 2 values"),
+], ids=["float-1e-15", "float-1e-9", "integer"])
+def test_moved_file_is_parsed(tmp_path, capsys, after, figure, differs):
+    tool = load_tool()
+    both = sides(tmp_path, {"t.csv": BEFORE}, {"t.csv": after})
+    per_name, identical, diffs = tool.compare(*both)
+    assert identical == 0 and per_name["t.csv"][1] == pytest.approx(figure, rel=0.2)
+    assert diffs == ([] if differs is None else [("cmd", [differs])])
+    assert tool.report(*both) == (differs is not None)
+    assert capsys.readouterr().out.endswith(
+        f"\n1 commands, 0 byte-identical, {len(diffs)} differ beyond rtol 1e-12\n")
+
+
+@pytest.mark.parametrize("argv", [("--rtol", "1e-12", SRC, SRC), (SRC,)], ids=["rtol", "one"])
+def test_two_positional_arguments(argv):
+    proc = diff(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "usage: python3 tools/artifact_diff.py PARENT_SRC CHANGE_SRC\n"
+
+
+def test_side_without_the_package_exits_2(tmp_path):
+    proc = diff(str(tmp_path), SRC)
+    assert proc.returncode == 2 and proc.stderr.startswith("error: "), proc.stderr

@@ -8,7 +8,7 @@ import pytest
 from tvarseq import harness, pipeline
 from tvarseq.basis import FourierCoeffs, TrigBasis, fourier_coefficients, trig_fn
 from tvarseq.selection import weighted_estimate_values
-from tvarseq.signals import ValidationError
+from tvarseq.signals import SignalSpec, ValidationError, signal_values_uniform
 
 
 class TestBasisEval:
@@ -142,6 +142,19 @@ class TestRealFFT:
                           (S_star, (lam * c.theta_hat) @ phi.T)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [15, 101])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 3.0)])
+    def test_values_is_the_series_synthesis(self, rng, a, b, d):
+        # S* and a series signal S are summed by one code: the same bits
+        c = 0.05 * rng.standard_normal(d) / np.arange(1, d + 1)
+        spec = SignalSpec(kind="series", a=a, b=b, coefficients=tuple(c.tolist()),
+                          stability_eps=0.5, lipschitz_L=1e3)
+        basis = TrigBasis(a, b, d)
+        assert np.array_equal(basis.values(c), signal_values_uniform(spec, d)[1:])
+        stack = np.vstack([rng.standard_normal((2, d)), c])
+        values = basis.values(stack)
+        assert all(np.array_equal(values[i], basis.values(row)) for i, row in enumerate(stack))
 
     def test_no_estimate_reads_phi(self, monkeypatch, s1, gaussian):
         def refuse(basis):

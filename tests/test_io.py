@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import tvarseq.io as tio
 from tvarseq.io import config_hash, write_artifacts, write_csv, write_json
+from tvarseq.signals import ValidationError
 
 FLOATS = np.array([0.1, 1 / 3, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf])
 INTS = np.array([0, 1, -7, 2 ** 62, 3, 15, 100000, -1], dtype=np.int64)
@@ -78,7 +79,7 @@ def test_empty_table_writes_the_header_only(tmp_path):
 
 
 def test_unequal_columns_rejected(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="unequal length"):
         written(tmp_path, {"a": [1, 2], "b": [1.0]})
     # the lengths are checked before the file is opened: no partial file
     assert not (tmp_path / "t.csv").exists()

@@ -1,34 +1,35 @@
 """Compare what two source trees write for one fixed battery of CLI commands.
 
-    python3 tools/artifact_diff.py [--rtol TOL] PARENT_SRC CHANGE_SRC
+    python3 tools/artifact_diff.py PARENT_SRC CHANGE_SRC
 
 Each side runs in a fresh python3 process with PYTHONPATH=<its src> and
 OPENBLAS_NUM_THREADS=1, which calls tvarseq.cli.main once per command of
 battery().  Both sides write under the same temporary directory, one output
 directory per command, because the commands print their output paths and
-pinsker's JSON echoes the spec file's path.  Per command, the exit code and
-the sha256 of stdout, of stderr and of each written file's name and bytes are
-compared.  Prints each command that differs; exits 1 if any does, else 0
-(2 if a side could not run).
+pinsker's JSON echoes the spec file's path; each side's files are then moved
+aside, so that both are kept.
 
-With --rtol TOL the written files are parsed instead of hashed, for a change
-that may move last digits.  A CSV column or a JSON value is a float field if
-every value in it is a float on both sides; its difference is max|a - b| over
-the field divided by the field's largest |value|.  Every other field (an
-integer or 0/1 column such as tau_l and gamma_l, a JSON int, bool or string
-such as selected_k) must be equal.  Prints the largest float difference per
-file name, and each command whose exit code, stdout, stderr, file names or
-exact fields differ, or whose float differences exceed TOL; exits 1 if any
-command does, else 0.
+A command is byte-identical if its exit code, stdout, stderr, file names and
+file bytes are equal.  Only a written file whose bytes differ is parsed.  A
+CSV column or a JSON value is a float field if every value in it is a float
+on both sides; its difference is max|a - b| over the field divided by the
+field's largest |value|.  Every other field (an integer or 0/1 column such as
+tau_l and gamma_l, a JSON int, bool or string such as selected_k) must be
+equal.  A command differs beyond RTOL if its exit code, stdout, stderr, file
+names or exact fields differ, or if a float difference exceeds RTOL.
+
+Prints the largest float difference per file name (a byte-equal file counts
+0), each command that differs beyond RTOL, and last
+"N commands, B byte-identical, K differ beyond rtol 1e-12".  Exits 1 if K > 0,
+else 0, and 2 if a side could not run.
 """
 
 import contextlib
-import hashlib
+import filecmp
 import io
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -46,6 +47,8 @@ SPECS = {
 }
 
 
+RTOL = 1e-12  # the bound on a float that a change may move by reordering operations
+USAGE = "usage: python3 tools/artifact_diff.py PARENT_SRC CHANGE_SRC"
 OUT = ["--out", "{out}"]  # stands for the command's own output directory
 
 
@@ -70,10 +73,6 @@ def battery(root):
     return cmds
 
 
-def _digest(data):
-    return hashlib.sha256(data).hexdigest()
-
-
 def run_side(root):
     """Run the battery in this process; one record per command, keyed by its command line."""
     from tvarseq.cli import main
@@ -85,15 +84,11 @@ def run_side(root):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
-        files = {}
-        for folder, _, names in os.walk(out):
-            for name in names:
-                path = os.path.join(folder, name)
-                with open(path, "rb") as fh:
-                    files[os.path.relpath(path, out)] = _digest(fh.read())
+        files = [os.path.relpath(os.path.join(folder, name), out)
+                 for folder, _, names in os.walk(out) for name in names]
         records[" ".join(cmd).replace(root, "<tmp>")] = {
-            "exit": code, "stdout": _digest(stdout.getvalue().encode()),
-            "stderr": _digest(stderr.getvalue().encode()), "files": dict(sorted(files.items()))}
+            "exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
+            "files": sorted(files)}
     return records
 
 
@@ -106,17 +101,6 @@ def collect(src, root):
     if proc.returncode != 0:
         raise RuntimeError(f"{src}: the battery did not run:\n{proc.stderr}")
     return json.loads(proc.stdout)
-
-
-def differences(before, after):
-    """(command, what differs) for each command whose records differ."""
-    diffs = []
-    for cmd in before.keys() | after.keys():
-        a, b = before.get(cmd), after.get(cmd)
-        if a != b:
-            parts = ["missing"] if a is None or b is None else [k for k in a if a[k] != b[k]]
-            diffs.append((cmd, parts))
-    return sorted(diffs)
 
 
 def _column(cells):
@@ -179,29 +163,44 @@ def compare_file(before, after):
     return worst, exact
 
 
-def rtol_differences(before, after, dirs, rtol):
-    """({file name: (files, largest difference)}, [(command, what differs)]) of two
-    sides whose files lie under dirs[0] and dirs[1], one directory per command
-    in battery order."""
-    per_name, diffs = {}, []
-    for i, cmd in enumerate(before):
-        a, b = before[cmd], after.get(cmd)
-        if b is None:
-            diffs.append((cmd, ["missing"]))
-            continue
-        parts = [k for k in ("exit", "stdout", "stderr") if a[k] != b[k]]
-        if a["files"].keys() != b["files"].keys():
-            parts.append("file names")
-        for name in sorted(a["files"].keys() & b["files"].keys()):
-            worst, exact = compare_file(*(os.path.join(d, str(i), name) for d in dirs))
+def compare(before, after, dirs):
+    """({file name: (files, largest difference)}, byte-identical commands,
+    [(command, what differs beyond RTOL)]) of two sides' records, whose files
+    lie under dirs[0] and dirs[1], one directory per command in battery order."""
+    per_name, identical, diffs = {}, 0, []
+    for i, (cmd, a) in enumerate(before.items()):
+        b = after[cmd]
+        parts = [k for k in ("exit", "stdout", "stderr", "files") if a[k] != b[k]]
+        same = not parts
+        for name in sorted(set(a["files"]) & set(b["files"])):
+            paths = [os.path.join(d, str(i), name) for d in dirs]
+            worst, exact = 0.0, []
+            if not filecmp.cmp(*paths, shallow=False):
+                same = False
+                worst, exact = compare_file(*paths)
             count, largest = per_name.get(name, (0, 0.0))
             per_name[name] = (count + 1, max(largest, worst))
             parts += [f"{name} {what}" for what in exact]
-            if worst > rtol:
+            if worst > RTOL:
                 parts.append(f"{name} {worst:.3g} > rtol")
+        identical += same
         if parts:
             diffs.append((cmd, parts))
-    return per_name, diffs
+    return per_name, identical, diffs
+
+
+def report(before, after, dirs):
+    """Print the comparison of two sides (compare) and return the exit code."""
+    per_name, identical, diffs = compare(before, after, dirs)
+    print("largest relative difference per file name:")
+    width = max(map(len, per_name), default=0)
+    for name, (count, largest) in sorted(per_name.items()):
+        print(f"  {name:{width}s} {largest:9.3g}  ({count} files)")
+    for cmd, parts in sorted(diffs):
+        print(f"differs: {cmd}  [{', '.join(parts)}]")
+    print(f"{len(before)} commands, {identical} byte-identical, "
+          f"{len(diffs)} differ beyond rtol {RTOL:g}")
+    return 1 if diffs else 0
 
 
 def main(argv):
@@ -211,16 +210,8 @@ def main(argv):
             sys.exit(f"tvarseq was imported from {tvarseq.__file__}, not from {argv[1]}")
         print(json.dumps(run_side(argv[2])))
         return 0
-    rtol = None
-    if len(argv) == 4 and argv[0] == "--rtol":
-        try:
-            rtol = float(argv[1])
-        except ValueError:
-            rtol = math.nan
-        argv = argv[2:]
-    if len(argv) != 2 or not (rtol is None or rtol >= 0):
-        print("usage: python3 tools/artifact_diff.py [--rtol TOL] PARENT_SRC CHANGE_SRC",
-              file=sys.stderr)
+    if len(argv) != 2:
+        print(USAGE, file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="artifact_diff_") as root:
         for name, spec in SPECS.items():
@@ -233,26 +224,10 @@ def main(argv):
             except RuntimeError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            # both sides write the same paths; --rtol keeps each side's files to parse
-            out = os.path.join(root, "out")
-            if rtol is None:
-                shutil.rmtree(out, ignore_errors=True)
-            else:
-                dirs.append(os.path.join(root, f"side{len(dirs)}"))
-                os.rename(out, dirs[-1])
-        if rtol is not None:
-            per_name, diffs = rtol_differences(*sides, dirs, rtol)
-    if rtol is None:
-        diffs = differences(*sides)
-    else:
-        print("largest relative difference per file name:")
-        for name, (count, largest) in sorted(per_name.items()):
-            print(f"  {name:44s} {largest:9.3g}  ({count} files)")
-    for cmd, parts in sorted(diffs):
-        print(f"differs: {cmd}  [{', '.join(parts)}]")
-    beyond = "" if rtol is None else f" beyond rtol {rtol:g}"
-    print(f"{len(sides[0])} commands, {len(diffs)} differ{beyond}")
-    return 1 if diffs else 0
+            # both sides write the same paths: each side's files move aside to be kept
+            dirs.append(os.path.join(root, f"side{len(dirs)}"))
+            os.rename(os.path.join(root, "out"), dirs[-1])
+        return report(*sides, dirs)
 
 
 if __name__ == "__main__":
