@@ -49,19 +49,11 @@ class TrigBasis:
     @property
     def phi(self):
         """phi[l-1, j-1] = phi_j(z_l), a new (d, d) array on each read."""
-        # evaluated at z_l - a = offset, since recomputing z_l - a from z_l
-        # cancels digits when |a| >> b - a and breaks the exact orthonormality.
-        # Filled in place in C order: phi_2m and phi_2m+1 are cos and sin of the
-        # one argument 2 pi m offset / (b-a)
+        # evaluated at z_l - a = offset, on [0, b - a], since recomputing z_l - a
+        # from z_l cancels digits when |a| >> b - a and breaks the exact orthonormality
         d, span = self.d, self.b - self.a
         offset = span * np.arange(1, d + 1) / d
-        arg = np.multiply.outer(offset, 2.0 * np.pi * np.arange(1, d // 2 + 1)) / span
-        phi = np.empty((d, d))
-        phi[:, 0] = 1.0 / np.sqrt(span)
-        np.cos(arg, out=phi[:, 1::2])
-        np.sin(arg, out=phi[:, 2::2])
-        phi[:, 1:] *= np.sqrt(2.0 / span)
-        return phi
+        return np.column_stack([trig_fn(j, offset, 0.0, span) for j in range(1, d + 1)])
 
     def gram(self):
         """Gram matrix of the d basis functions under (., .)_d."""

@@ -175,20 +175,16 @@ def select(coeffs, grid, delta, basis):
     if grid.nu == 0:
         raise ValidationError("empty weight grid")
     J = np.empty(np.shape(coeffs.theta_hat)[:-1] + (grid.nu,))
-    starts, picks = [], []  # per block: its first alpha, each sample's first minimum in it
+    low, idx, lam_hat = np.inf, 0, np.zeros(J.shape[:-1] + (basis.d,))  # per sample
     first = 0
     for lam, lam_sq in grid.blocks():
         part = J[..., first:first + len(lam)]
         part[...] = criterion(lam, lam_sq, coeffs, delta, basis.a, basis.b, basis.d)
-        starts.append(first)
-        picks.append(np.take(lam, np.argmin(part, axis=-1), axis=0))  # a copy: lam is reused
+        pick, here = np.argmin(part, axis=-1), np.min(part, axis=-1)
+        new = (here < low) | (first == 0)  # strictly lower: a tie keeps the earlier alpha
+        low, idx = np.where(new, here, low), np.where(new, first + pick, idx)
+        np.copyto(lam_hat[..., :lam.shape[-1]], lam[pick], where=new[..., None])  # lam is reused
         first += len(lam)
-    idx = np.argmin(J, axis=-1)  # first minimum = lexicographically smallest alpha
-    # the first minimum over all alphas is also the first within its own block
-    owner = np.searchsorted(starts, idx, side="right") - 1
-    lam_hat = np.zeros(J.shape[:-1] + (basis.d,))
-    lam_hat[..., :picks[0].shape[-1]] = np.take_along_axis(
-        np.stack(picks), owner[None, ..., None], axis=0)[0]
     k, t = grid.k[idx].tolist(), grid.t[idx].tolist()  # Python scalars for the JSON
     if idx.ndim == 0:
         idx, alpha_hat = int(idx), (k, t)

@@ -192,8 +192,7 @@ def build_regression(traj, part):
     w = int(np.max(part.k2 - part.k1)) + 2  # window l is the row y_{k1-1}..
     per = -(-signals.GROUP_BYTES * part.d // (8 * part.n))  # windows per group
     groups = [_stages(traj.y, part, w, slice(l, l + per)) for l in range(0, part.d, per)]
-    # one group, as every path of at most GROUP_BYTES / 8 steps is, needs no join
-    return _sample(part, *(groups[0] if len(groups) == 1 else map(np.concatenate, zip(*groups))))
+    return _sample(part, *map(np.concatenate, zip(*groups)))
 
 
 def _stages(y, part, w, g):

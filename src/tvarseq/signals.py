@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import functools
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -53,6 +54,16 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in _SIGNAL_KINDS:
             raise ValidationError(f"unknown signal kind {self.kind!r}; valid: {_SIGNAL_KINDS}")
+        real = lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+        for name in ("a", "b", "stability_eps", "lipschitz_L"):
+            if not real(getattr(self, name)):
+                raise ValidationError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        for name, kind in (("coefficients", "series"), ("values", "tabulated")):
+            seq = getattr(self, name)
+            if not isinstance(seq, (tuple, list)) or not all(map(real, seq)):
+                raise ValidationError(f"{name} must be a list of real numbers, got {seq!r}")
+            if seq and self.kind != kind:
+                raise ValidationError(f"{name} is read by kind {kind!r} only, not {self.kind!r}")
         if not np.isfinite(np.array([self.a, self.b, self.stability_eps, self.lipschitz_L,
                                      *self.coefficients, *self.values], float)).all():
             raise ValidationError("signal parameters must be finite (no NaN or inf)")

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -32,13 +33,17 @@ def test_same_tree_exits_0(same_tree):
     assert same_tree.returncode == 0, same_tree.stdout + same_tree.stderr
     lines = same_tree.stdout.splitlines()
     assert lines[-1] == "62 commands, 62 byte-identical, 0 differ beyond rtol 1e-12"
+    # the line before the summary counts each tree's lines, as wc -l does
+    count = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in pathlib.Path(SRC, "tvarseq").glob("*.py"))
+    assert lines[-2] == f"src/tvarseq lines: {count} -> {count}"
 
 
 def test_rtol_same_tree_exits_0(same_tree):
     assert same_tree.returncode == 0, same_tree.stdout + same_tree.stderr
     lines = same_tree.stdout.splitlines()
     assert lines[0] == "largest relative difference per file name:"
-    per_name = [line.split() for line in lines[1:-1]]
+    per_name = [line.split() for line in lines[1:-2]]
     assert {row[0] for row in per_name} >= {"coefficients.csv", "s_star.csv", "selection.json",
                                             "seq_points.csv", "risk_table.csv", "beta.csv"}
     assert all(row[1] == "0" for row in per_name)
@@ -102,7 +107,7 @@ def test_byte_equal_file_is_not_parsed(tmp_path, capsys):
     files = {"broken.json": "{not json", "t.csv": "# config_hash=x\nl\n1\n"}
     both = sides(tmp_path, files, files)
     assert tool.compare(*both) == ({"broken.json": (1, 0.0), "t.csv": (1, 0.0)}, 1, [])
-    assert tool.report(*both) == 0
+    assert tool.report(*both, (SRC, SRC)) == 0
     assert capsys.readouterr().out.endswith(
         "\n1 commands, 1 byte-identical, 0 differ beyond rtol 1e-12\n")
 
@@ -121,7 +126,7 @@ def test_moved_file_is_parsed(tmp_path, capsys, after, figure, differs):
     per_name, identical, diffs = tool.compare(*both)
     assert identical == 0 and per_name["t.csv"][1] == pytest.approx(figure, rel=0.2)
     assert diffs == ([] if differs is None else [("cmd", [differs])])
-    assert tool.report(*both) == (differs is not None)
+    assert tool.report(*both, (SRC, SRC)) == (differs is not None)
     assert capsys.readouterr().out.endswith(
         f"\n1 commands, 0 byte-identical, {len(diffs)} differ beyond rtol 1e-12\n")
 

@@ -297,7 +297,16 @@ SERIES = {"kind": "series", "coefficients": [0.0, 0.3], "stability_eps": 0.3, "l
     ({"kind": "tabulated", "values": [0.1]}, ["estimate"], "at least 2 values"),
     (None, ["simulate", "--n", "9"], "need n >= 10"),
     (None, ["pinsker", "--k", "0", "--r", "1"], "need k >= 1"),
-], ids=["eps", "lipschitz", "no-coefficients", "one-value", "simulate-n", "pinsker-k"])
+    # a field of the wrong type, and a key that the spec's kind never reads
+    ({**SERIES, "coefficients": "5"}, ["estimate"], "coefficients must be"),
+    ({"kind": "tabulated", "values": "12"}, ["estimate"], "values must be"),
+    ({**SERIES, "a": True}, ["estimate"], "a must be a real number"),
+    ({**SERIES, "coefficients": "abc"}, ["estimate"], "coefficients must be"),
+    ({"kind": "closed_form_S1", "coefficients": [0.9]}, ["estimate"], "coefficients is read"),
+    ({**SERIES, "values": [5, 6]}, ["estimate"], "values is read"),
+], ids=["eps", "lipschitz", "no-coefficients", "one-value", "simulate-n", "pinsker-k",
+        "coefficients-str", "values-str", "a-bool", "coefficients-word", "s1-coefficients",
+        "series-values"])
 def test_outside_input_named(tmp_path, capsys, spec, argv, named):
     """An input outside its range exits 2 with one error line that names it,
     prints no result and writes nothing."""

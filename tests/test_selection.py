@@ -345,14 +345,40 @@ class TestEmpiricalError:
             empirical_error(np.zeros(4), np.zeros(5), 0.0, 1.0, 5)
 
 
-def test_shared_definitions(ctx_10000):
-    from tvarseq import sequential
-    # bad input raises the one validation error class, in every module
-    for bad_input in (lambda: sequential.compute_partition(50),
-                      lambda: build_weight_grid(50),
-                      lambda: criterion(np.ones(3), np.ones(3), None, 0.2, 0.0, 1.0, 3)):
+def test_shared_definitions(ctx_10000, monkeypatch):
+    from tvarseq import sequential, signals
+    basis, part = TrigBasis(0.0, 1.0, 3), sequential.compute_partition(100)
+    empty = WeightGrid(k=np.array([], int), t=np.array([]), j_star=np.array([]),
+                       omega=np.array([]), width=1)
+    tabulated = signals.SignalSpec(kind="tabulated", values=(0.0, 0.0), stability_eps=0.5)
+    path = signals.Trajectory(n=200, a=0.0, b=1.0, y=np.zeros(201))
+
+    def exhausted():
+        # at MU0 = 1/2, k2 - iota >= 2 for every n in [100, 2e5] and at 1e6..1e9
+        with monkeypatch.context() as patch:
+            patch.setattr(sequential, "MU0", 1.0)
+            sequential.compute_partition(100)
+
+    # bad input raises the one validation error class, in every module, saying what is wrong
+    for bad_input, word in (
+            (lambda: sequential.compute_partition(50), "n >= 100"),
+            (lambda: build_weight_grid(50), "n >= 100"),
+            (lambda: criterion(np.ones(3), np.ones(3), None, 0.2, 0.0, 1.0, 3), "delta"),
+            (lambda: TrigBasis(0.0, 1.0, 4), "odd"),
+            (lambda: TrigBasis(1.0, 0.0, 3), "b > a"),
+            (lambda: fourier_coefficients(basis, np.ones(4), np.ones(4)), "length"),
+            (lambda: select(None, empty, 0.05, basis), "empty"),
+            (exhausted, "exhausts"),
+            (lambda: sequential.project_estimate(0.0, 2), "n >= 3"),
+            (lambda: sequential.threshold(0.0, 5, 5, 100), "k2 > iota"),
+            (lambda: sequential.threshold(0.95, 10, 5, 100), "clamped"),
+            (lambda: sequential.run_stopping_rule(np.ones(3), 2, 0.0), "positive"),
+            (lambda: sequential.build_regression(path, part), "disagree"),
+            (lambda: signals.trig_amplitudes(tabulated), "tabulated"),
+            (lambda: signals.generate_trajectory(signals.signal_s1(), signals.NoiseSpec("none"),
+                                                 100, 0, signal_values=np.zeros(5)), "length")):
         with pytest.raises(ValidationError) as info:
             bad_input()
-        assert type(info.value) is ValidationError
+        assert type(info.value) is ValidationError and word in str(info.value), info.value
     assert not hasattr(sequential, "ConfigurationError")
     assert ctx_10000.basis.d == ctx_10000.part.d == sequential.grid_size(10000)

@@ -19,7 +19,8 @@ equal.  A command differs beyond RTOL if its exit code, stdout, stderr, file
 names or exact fields differ, or if a float difference exceeds RTOL.
 
 Prints the largest float difference per file name (a byte-equal file counts
-0), each command that differs beyond RTOL, and last
+0), each command that differs beyond RTOL, each tree's line count
+"src/tvarseq lines: P -> C", and last
 "N commands, B byte-identical, K differ beyond rtol 1e-12".  Exits 1 if K > 0,
 else 0, and 2 if a side could not run.
 """
@@ -30,6 +31,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -189,8 +191,15 @@ def compare(before, after, dirs):
     return per_name, identical, diffs
 
 
-def report(before, after, dirs):
-    """Print the comparison of two sides (compare) and return the exit code."""
+def line_count(src):
+    """Lines in the .py files of the package tvarseq under src, as wc -l counts them."""
+    return sum(path.read_text(encoding="utf-8").count("\n")
+               for path in pathlib.Path(src, "tvarseq").glob("*.py"))
+
+
+def report(before, after, dirs, sources):
+    """Print the comparison of two sides (compare) and the line counts of their
+    source trees, and return the exit code."""
     per_name, identical, diffs = compare(before, after, dirs)
     print("largest relative difference per file name:")
     width = max(map(len, per_name), default=0)
@@ -198,6 +207,7 @@ def report(before, after, dirs):
         print(f"  {name:{width}s} {largest:9.3g}  ({count} files)")
     for cmd, parts in sorted(diffs):
         print(f"differs: {cmd}  [{', '.join(parts)}]")
+    print(f"src/tvarseq lines: {line_count(sources[0])} -> {line_count(sources[1])}")
     print(f"{len(before)} commands, {identical} byte-identical, "
           f"{len(diffs)} differ beyond rtol {RTOL:g}")
     return 1 if diffs else 0
@@ -227,7 +237,7 @@ def main(argv):
             # both sides write the same paths: each side's files move aside to be kept
             dirs.append(os.path.join(root, f"side{len(dirs)}"))
             os.rename(os.path.join(root, "out"), dirs[-1])
-        return report(*sides, dirs)
+        return report(*sides, dirs, argv)
 
 
 if __name__ == "__main__":
