@@ -47,10 +47,7 @@ def beta_error(estimate, true_beta):
     """Squared l2 distance sum_i (beta_hat_i - beta_i)^2 over the support union."""
     est = np.asarray(estimate, dtype=float)
     tru = np.asarray(true_beta, dtype=float)
-    width = max(len(est), len(tru))
-    e = np.zeros(width)
-    t = np.zeros(width)
-    e[:len(est)] = est
-    t[:len(tru)] = tru
-    diff = e - t
+    diff = np.zeros(max(len(est), len(tru)))
+    diff[:len(est)] = est
+    diff[:len(tru)] -= tru
     return float(diff @ diff)

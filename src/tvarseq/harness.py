@@ -79,20 +79,16 @@ def _cell(ctx, norm_n, noise, M, base_seed, signal_id):
     k_sum = 0.0
     t_sum = 0.0
     chunk = max(1, min(M, CHUNK_VALUES // ctx.grid.nu))
-    Y = np.empty((chunk, d))
-    sigma2 = np.empty((chunk, d))
     for first in range(1, M + 1, chunk):
-        m = min(chunk, M + 1 - first)
-        for i in range(m):
-            # the path is dropped once its regression sample is built, so that
-            # the next replication simulates with one path alive, not two
-            seed = replication_seed(base_seed, first + i)
-            reg = build_regression(generate_trajectory(ctx.spec, noise, n, seed,
-                                                       signal_values=ctx.S_design), ctx.part)
-            Y[i] = reg.Y
-            sigma2[i] = reg.sigma2
-            gamma_count += int(reg.gamma_all)
-        _, chosen = pl.estimate_from_sample(ctx, Y[:m], sigma2[:m])
+        # each path is dropped once its regression sample is built, so that
+        # the next replication simulates with one path alive, not two
+        regs = [build_regression(generate_trajectory(ctx.spec, noise, n,
+                                                     replication_seed(base_seed, r),
+                                                     signal_values=ctx.S_design), ctx.part)
+                for r in range(first, min(first + chunk, M + 1))]
+        gamma_count += sum(reg.gamma_all for reg in regs)
+        _, chosen = pl.estimate_from_sample(ctx, np.stack([reg.Y for reg in regs]),
+                                            np.stack([reg.sigma2 for reg in regs]))
         for S_star, (k, t) in zip(chosen.S_star, chosen.alpha_hat):
             err_sum += empirical_error(ctx.S_grid, S_star, a, b, d)
             mean_est += S_star
@@ -134,7 +130,8 @@ def run_table(spec, noise_specs, n_list, M, base_seed, signal_id=""):
         # ||S||_n^2 on [a, b], the divisor of this n's rbar_star
         norm_n = (spec.b - spec.a) * float(ctx.S_design[1:] @ ctx.S_design[1:]) / n
         if norm_n == 0.0:
-            raise ValidationError(f"S is zero on the n={n} design points: ||S||_n^2 = 0, "
+            seen = "S^2 underflows to 0" if ctx.S_design[1:].any() else "S is zero"
+            raise ValidationError(f"{seen} on the n={n} design points: ||S||_n^2 = 0, "
                                   "so the relative risk rbar_star is undefined")
         for noise in noise_specs:
             cells.append(_cell(ctx, norm_n, noise, M, base_seed, signal_id))

@@ -192,12 +192,7 @@ def select(coeffs, grid, delta, basis):
         alpha_hat = tuple(zip(k, t))
     return SelectionResult(alpha_hat=alpha_hat, alpha_index=idx,
                            lambda_hat=lam_hat, J_values=J,
-                           S_star=weighted_estimate_values(lam_hat, coeffs, basis))
-
-
-def weighted_estimate_values(lam, coeffs, basis):
-    """Values of the shrinkage estimator S_hat_lambda at the z grid (per row for a stack)."""
-    return basis.values(np.asarray(lam, dtype=float) * coeffs.theta_hat)
+                           S_star=basis.values(lam_hat * coeffs.theta_hat))
 
 
 def empirical_error(S_values, estimate_values, a, b, d):

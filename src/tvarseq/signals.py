@@ -91,8 +91,15 @@ class SignalSpec:
         return cfg
 
     @functools.cached_property
-    def _amplitudes(self):
-        """trig_amplitudes of a series kind, computed on first read."""
+    def amplitudes(self):
+        """(c0, A, B) with S = c0 + sum_m A[m-1] cos(2 pi m u) + B[m-1] sin(2 pi m u).
+
+        u = (x-a)/(b-a).  Every kind but "tabulated" is such a series.  A spec
+        computes them once, when its certificate reads them, and holds them
+        read-only: the context's two evaluations of S reuse them.
+        """
+        if self.kind == "tabulated":
+            raise ValidationError("a tabulated signal has no trigonometric amplitudes")
         if self.kind == "closed_form_S1":
             c0, A, B = 0.0, np.array([0.5]), np.zeros(1)
         elif self.kind == "closed_form_S2":
@@ -134,18 +141,6 @@ def signal_s2():
                       stability_eps=0.5, lipschitz_L=70.0)
 
 
-def trig_amplitudes(spec):
-    """(c0, A, B) with S = c0 + sum_m A[m-1] cos(2 pi m u) + B[m-1] sin(2 pi m u).
-
-    u = (x-a)/(b-a).  Every kind but "tabulated" is such a series.  A spec
-    computes them once, when its certificate reads them, and holds them
-    read-only: the context's two evaluations of S reuse them.
-    """
-    if spec.kind == "tabulated":
-        raise ValidationError("a tabulated signal has no trigonometric amplitudes")
-    return spec._amplitudes
-
-
 def _psi_amplitudes(c, a, b):
     """(c0, A, B) of sum_j c_j psi_j on [a, b], along the last axis of c (one row per
     leading index): psi_1 = 1/sqrt(b-a), psi_2m | psi_2m+1 = sqrt(2/(b-a)) cos | sin."""
@@ -167,7 +162,7 @@ def signal_values_uniform(spec, N):
     if spec.kind == "tabulated":
         return np.interp(spec.a + (spec.b - spec.a) * np.arange(N + 1) / N,
                          np.linspace(spec.a, spec.b, len(spec.values)), spec.values)
-    return _series_values(*trig_amplitudes(spec), N)
+    return _series_values(*spec.amplitudes, N)
 
 
 def _series_values(c0, A, B, N):
@@ -224,7 +219,7 @@ def validate_stability(spec, n):
         bound = float(np.max(np.abs(vals)))
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            c0, A, B = trig_amplitudes(spec)
+            c0, A, B = spec.amplitudes
             slope_u = 2.0 * np.pi * float(np.arange(1, len(A) + 1) @ (np.abs(A) + np.abs(B)))
             need = min(slope_u / (2.0 * _CERT_SLACK * spec.stability_eps), _CERT_MAX_POINTS)
             vals = _series_values(c0, A, B, 1 << (math.ceil(need) - 1).bit_length())

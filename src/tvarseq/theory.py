@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .signals import ValidationError, trig_amplitudes
+from .signals import ValidationError
 
 
 def sigma_star(spec):
@@ -21,14 +21,8 @@ def sigma_star(spec):
     if spec.kind == "tabulated":
         v0, v1 = np.asarray(spec.values[:-1]), np.asarray(spec.values[1:])
         return span - span / (3 * len(v0)) * float(np.sum(v0 * v0 + v0 * v1 + v1 * v1))
-    c0, A, B = trig_amplitudes(spec)
+    c0, A, B = spec.amplitudes
     return span * (1.0 - c0 * c0 - 0.5 * float(A @ A + B @ B))
-
-
-def check_radius(r):
-    """Reject a Sobolev radius that is not a finite number > 0 (NaN included)."""
-    if not 0.0 < r < math.inf:
-        raise ValidationError(f"need a finite r > 0, got {r}")
 
 
 def pinsker_constant(k, r):
@@ -41,7 +35,8 @@ def pinsker_constant(k, r):
         finite = False
     if not finite:
         raise ValidationError("k is too large: pi (2k+1) overflows")
-    check_radius(r)
+    if not 0.0 < r < math.inf:  # NaN included
+        raise ValidationError(f"need a finite r > 0, got {r}")
     e = 1.0 / (2 * k + 1)  # the power of each factor apart, so that (1+2k) r cannot overflow
     return (1.0 + 2.0 * k) ** e * r ** e * (k / (np.pi * (k + 1.0))) ** (2.0 * k / (2 * k + 1))
 

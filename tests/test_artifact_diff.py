@@ -69,6 +69,12 @@ def load_tool():
     return module
 
 
+def test_battery_covers_every_command():
+    # a new subcommand cannot go unchecked: the battery runs each one
+    from tvarseq.cli import COMMANDS
+    assert {cmd[0] for cmd in load_tool().battery("root")} == set(COMMANDS)
+
+
 def test_rtol_compares_floats_by_scale_and_the_rest_exactly(tmp_path):
     tool = load_tool()
     before, after = tmp_path / "before.csv", tmp_path / "after.csv"

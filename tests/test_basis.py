@@ -7,7 +7,6 @@ import pytest
 
 from tvarseq import harness, pipeline
 from tvarseq.basis import FourierCoeffs, TrigBasis, fourier_coefficients, trig_fn
-from tvarseq.selection import weighted_estimate_values
 from tvarseq.signals import SignalSpec, ValidationError, signal_values_uniform
 
 
@@ -137,7 +136,7 @@ class TestRealFFT:
         sigma2 = rng.random(rows + (d,))
         lam = rng.random(rows + (d,))
         c = fourier_coefficients(basis, Y, sigma2)
-        S_star = weighted_estimate_values(lam, c, basis)
+        S_star = basis.values(lam * c.theta_hat)
         for got, want in ((c.theta_hat, w * (Y @ phi)), (c.s_jd, w * (sigma2 @ phi ** 2)),
                           (S_star, (lam * c.theta_hat) @ phi.T)):
             assert got.shape == want.shape

@@ -323,16 +323,18 @@ def test_outside_input_named(tmp_path, capsys, spec, argv, named):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spec", [
-    {"kind": "tabulated", "values": [0.0, 0.0], "stability_eps": 0.5},
-    {"kind": "series", "coefficients": [0.0], "stability_eps": 0.5},
+@pytest.mark.parametrize("spec, seen", [
+    ({"kind": "tabulated", "values": [0.0, 0.0], "stability_eps": 0.5}, "S is zero"),
+    ({"kind": "series", "coefficients": [0.0], "stability_eps": 0.5}, "S is zero"),
     # ||S||_n^2 = 2e-320 is subnormal: rbar / ||S||_n^2 overflows to inf
-    {"kind": "tabulated", "values": [1e-160, 1e-160], "stability_eps": 0.5},
-], ids=["tabulated", "series", "subnormal"])
-def test_zero_signal_has_no_relative_risk(tmp_path, capsys, spec):
+    ({"kind": "tabulated", "values": [1e-160, 1e-160], "stability_eps": 0.5}, "overflows"),
+    # S = 1e-170 is not zero, but S^2 = 1e-340 underflows to 0
+    ({"kind": "tabulated", "values": [1e-170, 1e-170], "stability_eps": 0.5}, "underflows"),
+], ids=["tabulated", "series", "subnormal", "underflow"])
+def test_zero_signal_has_no_relative_risk(tmp_path, capsys, spec, seen):
     """rbar_star divides by ||S||_n^2: a risk table of a signal that is zero, or
-    too small for that ratio to be finite, on the design exits 2, while an
-    estimate of it runs."""
+    too small for that ratio to be finite, on the design exits 2 with a message
+    that says which, while an estimate of it runs."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     out = tmp_path / "out"
@@ -340,6 +342,7 @@ def test_zero_signal_has_no_relative_risk(tmp_path, capsys, spec):
                  "--out", str(out)]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "n=200" in captured.err
+    assert seen in captured.err, captured.err
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.exists()

@@ -20,7 +20,6 @@ from tvarseq.selection import (
     default_delta,
     empirical_error,
     select,
-    weighted_estimate_values,
 )
 from tvarseq.sequential import grid_size
 from tvarseq.signals import ValidationError
@@ -374,7 +373,7 @@ def test_shared_definitions(ctx_10000, monkeypatch):
             (lambda: sequential.threshold(0.95, 10, 5, 100), "clamped"),
             (lambda: sequential.run_stopping_rule(np.ones(3), 2, 0.0), "positive"),
             (lambda: sequential.build_regression(path, part), "disagree"),
-            (lambda: signals.trig_amplitudes(tabulated), "tabulated"),
+            (lambda: tabulated.amplitudes, "tabulated"),
             (lambda: signals.generate_trajectory(signals.signal_s1(), signals.NoiseSpec("none"),
                                                  100, 0, signal_values=np.zeros(5)), "length")):
         with pytest.raises(ValidationError) as info:

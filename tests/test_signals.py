@@ -19,7 +19,6 @@ from tvarseq.signals import (
     generate_trajectory,
     replication_seed,
     signal_values_uniform,
-    trig_amplitudes,
     validate_stability,
 )
 
@@ -39,7 +38,7 @@ def scattered_series(spec, x):
     """Reference for the FFT fold: S at scattered points x of [a, b], with the
     trigonometric series summed term by term, in chunks of terms."""
     x = np.asarray(x, dtype=float)
-    c0, A, B = trig_amplitudes(spec)
+    c0, A, B = spec.amplitudes
     u = (x - spec.a) / (spec.b - spec.a)
     out = np.full(x.shape, c0)
     block = max(1, (1 << 20) // max(x.size, 1))
@@ -79,7 +78,7 @@ class TestSeriesValues:
         x = spec.a + (spec.b - spec.a) * np.arange(N + 1) / N
         want = sum(beta * tv.trig_fn(i, x, spec.a, spec.b)
                    for i, beta in enumerate(spec.coefficients, start=1))
-        assert np.any(trig_amplitudes(spec)[2] != 0.0)
+        assert np.any(spec.amplitudes[2] != 0.0)
         got = signal_values_uniform(spec, N)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -170,6 +169,18 @@ class TestNoise:
 def test_spec_json_roundtrip(spec):
     # defaults such as stability_eps survive the trip through JSON text
     assert SignalSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+
+def test_amplitudes_are_computed_once_and_read_only(s2):
+    # the certificate computed them when the spec was built; every later read
+    # gets the same arrays, which no caller can write through
+    series = SignalSpec(kind="series", coefficients=(0.1, 0.2, -0.1), stability_eps=0.3)
+    for spec in (s2, series):
+        assert spec.amplitudes is spec.amplitudes
+        _, A, B = spec.amplitudes
+        assert not A.flags.writeable and not B.flags.writeable
+    with pytest.raises(ValidationError, match="tabulated"):
+        ZERO_SIGNAL.amplitudes
 
 
 class TestTrajectory:
@@ -351,7 +362,7 @@ class TestStabilityCertificate:
         shifted = SignalSpec(kind="series", coefficients=(0.1, 0.2, -0.1, 0.05, 0.03),
                              a=1.0, b=3.0, stability_eps=0.3, lipschitz_L=50.0)
         for spec in (s1, s2, shifted):
-            _, A, B = trig_amplitudes(spec)
+            _, A, B = spec.amplitudes
             slope_u = 2.0 * np.pi * float(np.arange(1, len(A) + 1) @ (np.abs(A) + np.abs(B)))
             need = min(slope_u / (2e-3 * spec.stability_eps), 1 << 20)
             N = 1 << (math.ceil(need) - 1).bit_length()
