@@ -3,7 +3,7 @@
 Averages the grid squared error over M replications per sample size and
 noise family; the robust column takes the worst noise family.  Increase M
 to 50 and extend n_list to {200, 500, 10000, 70000} to reproduce the full
-study (about a second: 0.6 to 1.5 s on a 2-core Xeon).
+study (about half a second: 0.35 to 0.6 s on a 2-core Xeon).
 """
 
 import tvarseq as tv

@@ -1,14 +1,18 @@
 """Monte-Carlo evaluation of empirical and relative risks across
 (signal, n, noise) cells.
 
-Each replication simulates a fresh trajectory from a deterministically derived
-seed and runs the sequential stage on it, one replication at a time.  The
-regression samples of a chunk of replications are then estimated together:
-one coefficient product and one pass over the weight grid per chunk, so the
-weight profiles are built once per chunk, not once per replication.  A
-chunk's (m, nu) criterion values take at most CHUNK_VALUES floats (8 MB).
-Each replication's empirical error Er_d and selection are summed in replication
-order, so a cell is reproducible bit-for-bit.
+Each replication simulates a fresh trajectory from its own deterministically
+derived seed.  Inside a chunk of replications the paths run in groups: a group
+holds as many whole paths as fit signals.GROUP_BYTES (signals.path_groups),
+the whole chunk at small n and one path from n = 2^17 on.  The scan and the
+sequential stage run once per group, on the blocks and windows of every path
+in it, and give each path the bits that it gets on its own.  The
+regression samples of a chunk are then estimated together: one coefficient
+product and one pass over the weight grid per chunk, so the weight profiles
+are built once per chunk, not once per replication.  A chunk's (m, nu)
+criterion values take at most CHUNK_VALUES floats (8 MB).  Each replication's
+empirical error Er_d and selection are summed in replication order, so a cell
+is reproducible bit-for-bit.
 """
 
 from dataclasses import dataclass, field
@@ -20,8 +24,8 @@ import numpy as np
 from . import pipeline as pl
 from .io import write_artifacts
 from .selection import empirical_error
-from .signals import ValidationError, generate_trajectory, replication_seed
-from .sequential import build_regression
+from .signals import ValidationError, generate_trajectory, path_groups, replication_seed
+from .sequential import regression_columns
 
 
 @dataclass(frozen=True)
@@ -80,15 +84,15 @@ def _cell(ctx, norm_n, noise, M, base_seed, signal_id):
     t_sum = 0.0
     chunk = max(1, min(M, CHUNK_VALUES // ctx.grid.nu))
     for first in range(1, M + 1, chunk):
-        # each path is dropped once its regression sample is built, so that
-        # the next replication simulates with one path alive, not two
-        regs = [build_regression(generate_trajectory(ctx.spec, noise, n,
-                                                     replication_seed(base_seed, r),
-                                                     signal_values=ctx.S_design), ctx.part)
-                for r in range(first, min(first + chunk, M + 1))]
-        gamma_count += sum(reg.gamma_all for reg in regs)
-        _, chosen = pl.estimate_from_sample(ctx, np.stack([reg.Y for reg in regs]),
-                                            np.stack([reg.sigma2 for reg in regs]))
+        seeds = [replication_seed(base_seed, r) for r in range(first, min(first + chunk, M + 1))]
+        # each group of paths is dropped once its columns are built, so that the
+        # next group simulates with one group alive, not two
+        cols = [regression_columns(generate_trajectory(ctx.spec, noise, n, seeds[paths],
+                                                       signal_values=ctx.S_design), ctx.part)
+                for paths in path_groups(len(seeds), n)]
+        _, H, _, _, gamma, Y = map(np.concatenate, zip(*cols))
+        gamma_count += int(np.count_nonzero(gamma.all(axis=1)))
+        _, chosen = pl.estimate_from_sample(ctx, Y, 1.0 / H)
         for S_star, (k, t) in zip(chosen.S_star, chosen.alpha_hat):
             err_sum += empirical_error(ctx.S_grid, S_star, a, b, d)
             mean_est += S_star

@@ -6,13 +6,14 @@ clamped value sets the threshold H_l, and the remaining observations feed a
 stopping rule that accumulates squared regressors until H_l is reached.  The
 resulting ratio estimate has conditional variance exactly 1/H_l.
 
-build_regression gathers each window once, as the row y_{k1-1}, y_{k1}, ...
+regression_columns gathers each window once, as the row y_{k1-1}, y_{k1}, ...
 of one common width, and each formula reads a fixed column slice of it: one
 row, or a stack of rows at once.  A row runs on into the next window (the
 windows are adjacent), but no formula reads past its own window's end.  The
-windows are gathered and run a group at a time, the windows over about
-signals.GROUP_BYTES of the path, and each point's columns are joined at the
-end; a path of at most GROUP_BYTES / 8 steps is one group.
+windows are gathered and run a group at a time, and each point's columns are
+joined at the end: a group stacks the windows of as many whole paths as fit
+signals.GROUP_BYTES, or, of a path too long to fit, holds the windows over
+about GROUP_BYTES of it.  build_regression is its one-path call.
 """
 
 from dataclasses import dataclass, field
@@ -181,34 +182,56 @@ def _sample(part, *columns):
 
 
 def build_regression(traj, part):
-    """Both stages at every grid point, each formula applied to a group of windows at once.
+    """The regression sample of a one-path trajectory: its row of regression_columns.
 
     S*_l is zeroed at points whose stopping rule only terminates at the forced
     boundary; the other points stay informative.  gamma_all records the global
     event, whose probability tends to 1 only as n grows.
     """
+    if np.ndim(traj.y) != 1:
+        raise ValidationError("build_regression takes one path; regression_columns takes a stack")
+    return _sample(part, *(col[0] for col in regression_columns(traj, part)))
+
+
+def regression_columns(traj, part):
+    """Both stages at every grid point of every path of traj, each formula applied to a
+    group of windows at once; returns the columns after l, in POINT_FIELDS order, each
+    of shape (paths, d).
+
+    A group is the windows of as many whole paths as fit signals.GROUP_BYTES
+    (signals.path_groups) or, of a path too long to fit, those over about
+    GROUP_BYTES of it.  Each column joins its window groups across, then its
+    path groups down.
+    """
     if traj.n != part.n:
         raise ValidationError("trajectory and partition disagree on n")
+    y = np.atleast_2d(traj.y)
     w = int(np.max(part.k2 - part.k1)) + 2  # window l is the row y_{k1-1}..
-    per = -(-signals.GROUP_BYTES * part.d // (8 * part.n))  # windows per group
-    groups = [_stages(traj.y, part, w, slice(l, l + per)) for l in range(0, part.d, per)]
-    return _sample(part, *map(np.concatenate, zip(*groups)))
+    per = -(-signals.GROUP_BYTES * part.d // (8 * part.n))  # windows per group of one path
+    groups = [map(np.hstack, zip(*[_stages(y[paths], part, w, slice(l, l + per))
+                                   for l in range(0, part.d, per)]))
+              for paths in signals.path_groups(len(y), part.n)]
+    return list(map(np.vstack, zip(*groups)))
 
 
 def _stages(y, part, w, g):
-    """Both stages at the grid points of slice g, from rows of width w gathered from y;
-    returns the columns after l, in POINT_FIELDS order."""
-    k1, k2, iota, q = part.k1[g], part.k2[g], part.iota[g], part.q_pre
+    """Both stages at the grid points of slice g of every path (row) of y, from one
+    (paths * points, w) stack of rows gathered from y; returns the columns after l,
+    in POINT_FIELDS order, each of shape (paths, points)."""
+    paths = len(y)
+    k1, q = part.k1[g], part.q_pre
+    k2, iota = np.tile(part.k2[g], paths), np.tile(part.iota[g], paths)
     lo, hi = k1[0] - 1, k1[-1] - 1 + w
-    # the last window is short, so its row runs past y_n into zero padding
-    seg = y[lo:hi] if hi <= len(y) else np.append(y[lo:], np.zeros(hi - len(y)))
-    rows = sliding_window_view(seg, w)[k1 - k1[0]]
+    seg = y[:, lo:hi]
+    if hi > y.shape[1]:  # the last window is short, so its row runs past y_n into zero padding
+        seg = np.concatenate((seg, np.zeros((paths, hi - y.shape[1]))), axis=1)
+    rows = sliding_window_view(seg, w, axis=1)[:, k1 - k1[0]].reshape(-1, w)
     s_pre = project_estimate(preliminary_estimate(rows[:, :q + 1], rows[:, 1:q + 2]), part.n)
     H = threshold(s_pre, k2, iota, part.n)
     x = rows[:, q + 1:]  # y_iota, y_{iota+1}, ...
     step, kappa, gamma = run_stopping_rule(x, k2 - iota - 1, H)
     s_star = sequential_estimate(x, H, step, kappa, gamma)
-    return s_pre, H, iota + 1 + step, kappa, gamma, s_star
+    return [col.reshape(paths, -1) for col in (s_pre, H, iota + 1 + step, kappa, gamma, s_star)]
 
 
 def noiseless_regression(part, S_grid):

@@ -265,7 +265,8 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One simulated AR(1) path y_0 = 0, y_1..y_n on design points x_j = a + (b-a)*j/n."""
+    """A simulated AR(1) path y_0 = 0, y_1..y_n on design points x_j = a + (b-a)*j/n,
+    or a stack of such paths: y has shape (n+1,) or (paths, n+1)."""
 
     n: int
     a: float
@@ -293,12 +294,21 @@ def _check_span(n, a, b):
         raise ValidationError(f"n={n} points on [{a}, {b}] overflow: 2 pi n (b-a) is not finite")
 
 
+def path_groups(paths, n):
+    """Slices of a stack of paths of n steps, one per group: as many whole paths
+    as fit GROUP_BYTES per array, and at least one."""
+    per = max(1, GROUP_BYTES // (8 * (n + 1)))
+    return [slice(p, p + per) for p in range(0, paths, per)]
+
+
 def generate_trajectory(spec, noise, n, seed, signal_values=None):
     """Simulate y_j = S(x_j) y_{j-1} + xi_j for j = 1..n from y_0 = 0.
 
-    signal_values may carry S(x_j) for j = 0..n (the j = 0 entry is unused),
-    as a context holds them; without it S is evaluated here.  The spec was
-    certified stable when it was built.
+    seed is one seed, giving one path, or a list of seeds, giving the stack of
+    their paths, path i drawn from seed i's own generator; a one-seed list gives
+    the bits of that seed's path.  signal_values may carry S(x_j) for j = 0..n
+    (the j = 0 entry is unused), as a context holds them; without it S is
+    evaluated here.  The spec was certified stable when it was built.
     """
     if n < 10:
         raise ValidationError(f"need n >= 10, got {n}")
@@ -308,14 +318,18 @@ def generate_trajectory(spec, noise, n, seed, signal_values=None):
     s = np.asarray(signal_values, dtype=float)
     if s.shape != (n + 1,):
         raise ValidationError(f"signal_values must have length n+1={n + 1}")
-    rng = np.random.default_rng(seed)
-    return Trajectory(n=n, a=spec.a, b=spec.b, y=_linear_scan(s, lambda m: noise.draw(rng, m)))
+    stack = isinstance(seed, list)
+    y = _linear_scan(s, [functools.partial(noise.draw, np.random.default_rng(sd))
+                         for sd in (seed if stack else [seed])])
+    return Trajectory(n=n, a=spec.a, b=spec.b, y=y if stack else y[0])
 
 
-def _linear_scan(s, draw):
-    """y_j = s_j y_{j-1} + xi_j for j = 1..n from y_0 = 0, as a two-level scan (Blelloch 1990).
+def _linear_scan(s, draws):
+    """y_j = s_j y_{j-1} + xi_j for j = 1..n from y_0 = 0, as a two-level scan (Blelloch 1990),
+    for one path per draw; returns the (paths, n+1) stack.
 
-    s holds s_0..s_n (s_0 is unused); draw(m) gives the next m noise values.
+    s holds s_0..s_n (s_0 is unused), for every path; draws[i](m) gives the
+    next m noise values of path i.
     The steps are cut into blocks of w = [sqrt(n)].  The recurrence runs from 0
     in every block at once, one column at a time, giving z; a scalar loop over
     the blocks carries the value c that each block starts from; then
@@ -323,43 +337,54 @@ def _linear_scan(s, draw):
     the plain recurrence; later ones differ from it by rounding only.
 
     Every block is independent but for its carry, so the blocks run a group at
-    a time, about GROUP_BYTES per array, and c runs on across the groups.  The
-    noise is drawn one group at a time from the one generator, which gives the
-    values of one draw.  A path of at most GROUP_BYTES / 8 steps is one group.
+    a time, about GROUP_BYTES per array.  A group lays the blocks of as many
+    whole paths as fit side by side (path_groups); a path too long to fit runs
+    alone, a group of its blocks at a time, c running on across them.  Each
+    path draws its noise one group at a time from its own generator, which
+    gives the values of one draw.
     """
     n = len(s) - 1
     w = math.isqrt(n)
-    per = w * -(-GROUP_BYTES // (8 * w))  # steps per group: whole blocks
-    y = np.empty(n + 1)
-    y[0] = c = 0.0
-    for start in range(1, n + 1, per):
-        c = _scan_group(s[start:start + per], draw(min(per, n + 1 - start)), w, c,
-                        y[start:start + per])
+    per = w * -(-GROUP_BYTES // (8 * w))  # steps per group of one path: whole blocks
+    y = np.empty((len(draws), n + 1))
+    y[:, 0] = 0.0
+    for paths in path_groups(len(draws), n):
+        c = [0.0] * len(draws[paths])
+        for start in range(1, n + 1, per):
+            c = _scan_group(s[start:start + per], draws[paths], w, c, y[paths, start:start + per])
     return y
 
 
-def _scan_group(s, xi, w, c, out):
-    """The two-level scan over one group of blocks from carry c, into out; returns
-    the carry after the group."""
-    m = len(xi)
+def _scan_group(s, draws, w, c, out):
+    """The two-level scan over one group of blocks, into out: row i of out is the
+    path that draws[i] draws for, run from carry c[i]; returns the carries after
+    the group."""
+    paths, m = out.shape
     blocks = -(-m // w)
     pad = blocks * w - m
-    # column i of the (w, blocks) arrays holds block i: rows are in-block steps;
-    # only the last group is padded
+    # column i * blocks + j of the (w, paths * blocks) arrays holds block j of
+    # path i: rows are in-block steps; only the last group of a path is padded
+    z = np.empty((w, paths * blocks))
+    for i, draw in enumerate(draws):
+        xi = np.append(draw(m), np.zeros(pad)) if pad else draw(m)
+        z.T[i * blocks:(i + 1) * blocks] = xi.reshape(blocks, w)
     if pad:
-        s, xi = np.append(s, np.ones(pad)), np.append(xi, np.zeros(pad))
-    s = s.reshape(blocks, w).T
-    z = np.ascontiguousarray(xi.reshape(blocks, w).T)
+        s = np.append(s, np.ones(pad))
+    # every path's blocks read the same s: a view for one path, a copy for more
+    s = np.broadcast_to(s.reshape(blocks, w), (paths, blocks, w)).reshape(-1, w).T
     for r in range(1, w):
         z[r] += s[r] * z[r - 1]
     prod = np.cumprod(s, axis=0)
-    carry = []
-    for z_end, p_end in zip(z[-1].tolist(), prod[-1].tolist()):
-        carry.append(c)
-        c = z_end + c * p_end
+    z_end, p_end = z[-1].tolist(), prod[-1].tolist()
+    carry, ends = [], []
+    for c_i, i in zip(c, range(0, paths * blocks, blocks)):  # each path from its own carry
+        for z_e, p_e in zip(z_end[i:i + blocks], p_end[i:i + blocks]):
+            carry.append(c_i)
+            c_i = z_e + c_i * p_e
+        ends.append(c_i)
     prod *= carry
     z += prod
     full = m // w  # blocks written in full; a padded last block gives its head
-    out[:full * w].reshape(full, w)[...] = z.T[:full]
-    out[full * w:] = z[:m - full * w, -1]
-    return c
+    out[:, :full * w].reshape(paths, full, w)[...] = z.T.reshape(paths, blocks, w)[:, :full]
+    out[:, full * w:] = z[:m - full * w, blocks - 1::blocks].T
+    return ends

@@ -1,4 +1,5 @@
-"""Peak traced memory of the large-n layers at n = 10^6: no full-size transients."""
+"""Peak traced memory of the large-n layers at n = 10^6, no full-size transients, and
+of a Monte-Carlo cell at n = 7*10^4, which holds one group of paths at a time."""
 
 import gc
 import tracemalloc
@@ -46,3 +47,15 @@ def test_large_n_layers_hold_no_full_size_transient(spec, gaussian):
              "generate_trajectory": path, "build_regression": regression, "run_cell": cell}
     over = {k: round(v, 1) for k, v in peaks.items() if not v <= CEILING_MIB[k]}
     assert not over, f"traced peaks over their ceilings {CEILING_MIB}: {over}"
+
+
+# A 7*10^4 cell, M = 50, holds its context and one group of 3 paths at a time:
+# 17.7 / 17.1 MiB (S1 / S2) with numpy 2.4.  The chunk's 50 paths at once
+# (50 x 0.53 MiB) would break the ceiling.
+CELL_70K_CEILING_MIB = 21.0
+
+
+@pytest.mark.parametrize("spec", [tv.signal_s1(), tv.signal_s2()], ids=["S1", "S2"])
+def test_cell_holds_one_group_of_paths(spec, gaussian):
+    _, cell = traced_peak_mib(tv.run_cell, spec, gaussian, 70_000, 50, 7)
+    assert cell <= CELL_70K_CEILING_MIB, f"traced peak {cell:.1f} MiB"

@@ -10,12 +10,14 @@ import tvarseq as tv
 from tvarseq import signals
 from tvarseq.sequential import (
     MU0,
+    POINT_FIELDS,
     build_regression,
     compute_partition,
     eps_tilde,
     grid_size,
     preliminary_estimate,
     project_estimate,
+    regression_columns,
     run_stopping_rule,
     sequential_estimate,
     threshold,
@@ -233,6 +235,46 @@ class TestBuildRegression:
         assert grouped.points.tobytes() == whole.points.tobytes()
         assert grouped.points.dtype == whole.points.dtype
         assert grouped.gamma_all == whole.gamma_all
+
+    @staticmethod
+    def assert_stack_is_the_paths(n, family, paths):
+        """regression_columns of a stack of paths holds, bit for bit, each path's
+        build_regression: every POINT_FIELDS column after l, and gamma_all."""
+        noise, part = NoiseSpec(family), compute_partition(n)
+        seeds = [replication_seed(5, r) for r in range(1, paths + 1)]
+        cols = regression_columns(generate_trajectory(tv.signal_s1(), noise, n, seeds), part)
+        regs = [build_regression(generate_trajectory(tv.signal_s1(), noise, n, sd), part)
+                for sd in seeds]
+        for name, col in zip(POINT_FIELDS[1:], cols, strict=True):
+            one = np.stack([reg.points[name] for reg in regs])
+            assert col.shape == (paths, part.d) and col.dtype == one.dtype, name
+            # floats compare by their bits as int64, so that -0.0 and 0.0 differ
+            if one.dtype == np.float64:
+                col, one = np.ascontiguousarray(col).view(np.int64), one.view(np.int64)
+            assert np.array_equal(col, one), name
+        assert [bool(g.all()) for g in cols[POINT_FIELDS.index("gamma") - 1]] == \
+            [reg.gamma_all for reg in regs]
+
+    @pytest.mark.parametrize("family", ["gaussian_std", "uniform_unit_variance"])
+    @pytest.mark.parametrize("n, paths", [(200, 50), (500, 50), (10_007, 30), (70_000, 7)])
+    def test_path_stack_keeps_every_bit(self, n, paths, family):
+        # one group of 50 paths at n = 200 and 500, groups of 26 and 4 at
+        # n = 10007, of 3, 3 and 1 at n = 70000
+        self.assert_stack_is_the_paths(n, family, paths)
+
+    @pytest.mark.parametrize("family", ["gaussian_std", "uniform_unit_variance"])
+    @pytest.mark.parametrize("group_bytes", [8 * 3 * 10_008, 8 * 10_007 * 7 // 101],
+                             ids=["3-paths", "7-windows"])
+    def test_path_groups_keep_every_bit(self, group_bytes, family, monkeypatch):
+        # 7 paths of n = 10007 in groups of 3, 3 and 1 whole paths, or one path at
+        # a time, each in groups of 7 of its d = 101 windows
+        monkeypatch.setattr(signals, "GROUP_BYTES", group_bytes)
+        self.assert_stack_is_the_paths(10_007, family, 7)
+
+    def test_one_path_only(self, s1, gaussian, ctx_1000):
+        traj = generate_trajectory(s1, gaussian, 1000, [1, 2], signal_values=ctx_1000.S_design)
+        with pytest.raises(ValidationError, match="one path"):
+            build_regression(traj, ctx_1000.part)
 
     def test_gating_modes(self, s1, gaussian, ctx_1000):
         traj = generate_trajectory(s1, gaussian, 1000, replication_seed(3, 1),

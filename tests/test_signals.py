@@ -301,6 +301,53 @@ def test_scan_groups_keep_every_bit(spec, blocks, noise, monkeypatch):
     assert generate_trajectory(spec, noise, n, 3, signal_values=s).y.tobytes() == whole.tobytes()
 
 
+def as_int64(a):
+    """The bits of a float64 array as int64, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def path_stack_and_paths(noise, n, paths, seed=12345):
+    """A stack of paths from one call, and the same seeds' paths one call each."""
+    s = signal_values_uniform(tv.signal_s1(), n)
+    seeds = [replication_seed(seed, r) for r in range(1, paths + 1)]
+    stack = generate_trajectory(tv.signal_s1(), noise, n, seeds, signal_values=s).y
+    one = np.stack([generate_trajectory(tv.signal_s1(), noise, n, sd, signal_values=s).y
+                    for sd in seeds])
+    return stack, one
+
+
+@pytest.mark.parametrize("noise", ADMISSIBLE, ids=lambda noise: noise.family)
+@pytest.mark.parametrize("n, paths, sizes", [(200, 50, [50]), (500, 50, [50]),
+                                             (10_007, 30, [26, 4]), (70_000, 7, [3, 3, 1])])
+def test_path_stack_keeps_every_bit(n, paths, sizes, noise):
+    # a group holds as many whole paths of n + 1 floats as fit GROUP_BYTES
+    assert [len(range(paths)[g]) for g in signals.path_groups(paths, n)] == sizes
+    stack, one = path_stack_and_paths(noise, n, paths)
+    assert stack.shape == (paths, n + 1)
+    assert np.array_equal(as_int64(stack), as_int64(one))
+
+
+@pytest.mark.parametrize("noise", ADMISSIBLE, ids=lambda noise: noise.family)
+@pytest.mark.parametrize("group_bytes", [8 * 3 * 10_008, 8 * 100 * 3],
+                         ids=["3-paths", "3-blocks"])
+def test_path_groups_keep_every_bit(group_bytes, noise, monkeypatch):
+    # 7 paths of n = 10007 in groups of 3, 3 and 1 whole paths, or one path at
+    # a time, each in 34 groups of 3 blocks of w = 100 steps
+    n, paths = 10_007, 7
+    _, one = path_stack_and_paths(noise, n, paths)
+    monkeypatch.setattr(signals, "GROUP_BYTES", group_bytes)
+    grouped, _ = path_stack_and_paths(noise, n, paths)
+    assert len(signals.path_groups(paths, n)) == (3 if group_bytes > 8 * n else 7)
+    assert np.array_equal(as_int64(grouped), as_int64(one))
+
+
+def test_one_seed_list_is_a_stack_of_one(s1, gaussian):
+    traj = generate_trajectory(s1, gaussian, 300, 7)
+    stack = generate_trajectory(s1, gaussian, 300, [7])
+    assert stack.y.shape == (1, 301)
+    assert np.array_equal(as_int64(stack.y[0]), as_int64(traj.y))
+
+
 def random_series(rng, a=-1.0, b=2.0, n_freq=40, eps=0.5):
     """A cos+sin series on [a, b] with frequencies 1..n_freq and a constant term."""
     beta = rng.normal(scale=0.01, size=2 * n_freq + 1)

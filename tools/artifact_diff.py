@@ -69,6 +69,9 @@ def battery(root):
                  ["risk-table", "--signal", sig, "--noise", "all", "--n", "200,500,10000",
                   "--M", "6", *OUT]]
     cmds += [["pinsker", "--k", "3", "--r", "2"], ["pinsker", "--k", "3", "--r", "2", *OUT]]
+    # 7 paths of n = 70000 run in groups of 3, 3 and 1 whole paths
+    cmds += [["risk-table", "--signal", "s2", "--noise", "gaussian", "--n", "70000", "--M", "7",
+              *OUT]]
     unstable = f"series:{os.path.join(root, 'unstable')}.json"
     cmds += [["estimate", "--n", "50", *OUT], ["risk-table", "--M", "0", *OUT],
              ["simulate", "--signal", "s9", *OUT], ["estimate", "--signal", unstable, *OUT]]
