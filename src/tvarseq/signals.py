@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -252,12 +253,20 @@ class NoiseSpec:
     def varsigma(self):
         return _NOISE_VARSIGMA[self.family]
 
-    def draw(self, rng, size):
+    def draw_into(self, rng, out):
+        """Write the next len(out) draws of rng into out, a contiguous float64 array;
+        returns out.  Consecutive fills give the values of one draw of their total
+        length.  The uniform draw is -sqrt3 + 2 sqrt3 * random(), rounded as
+        rng.uniform(-sqrt3, sqrt3) rounds it."""
         if self.family == "gaussian_std":
-            return rng.standard_normal(size)
-        if self.family == "uniform_unit_variance":
-            return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size)
-        return np.zeros(size)
+            rng.standard_normal(out=out)
+        elif self.family == "uniform_unit_variance":
+            rng.random(out=out)
+            out *= 2.0 * math.sqrt(3.0)
+            out += -math.sqrt(3.0)
+        else:
+            out[...] = 0.0
+        return out
 
     def to_dict(self):
         return {"family": self.family, "varsigma": self.varsigma}
@@ -308,7 +317,52 @@ def generate_trajectory(spec, noise, n, seed, signal_values=None):
     their paths, path i drawn from seed i's own generator; a one-seed list gives
     the bits of that seed's path.  signal_values may carry S(x_j) for j = 0..n
     (the j = 0 entry is unused), as a context holds them; without it S is
-    evaluated here.  The spec was certified stable when it was built.
+    evaluated here.  The spec was certified stable when it was built.  This is
+    trajectory_groups with its groups joined.
+    """
+    stack = isinstance(seed, list)
+    ys = trajectory_groups(spec, noise, n, seed if stack else [seed], lambda traj: traj.y,
+                           signal_values)
+    y = ys[0] if len(ys) == 1 else np.concatenate(ys)
+    return Trajectory(n=n, a=spec.a, b=spec.b, y=y if stack else y[0])
+
+
+def trajectory_groups(spec, noise, n, seeds, stage, signal_values=None):
+    """The paths of seeds, one group of them at a time (path_groups): returns
+    [stage(Trajectory of the group's (paths, n+1) stack) for each group].
+
+    Path i is drawn from seed i's own generator and gets the bits that it gets
+    on its own.  A group's stack is dropped once stage returns, before the next
+    group's is made, so one group's paths are alive at a time.  signal_values
+    is read as by generate_trajectory.
+
+    The simulation is a two-level scan of the recurrence (Blelloch 1990).  The
+    indices j = 1..n are cut into blocks of w = [sqrt(n)].  The recurrence runs
+    from 0 in every block at once, one row at a time, giving z; a scalar loop
+    over the blocks carries the value c that each block starts from; then
+    y = z + c * (running product of s within the block).  The first block is
+    the plain recurrence; later ones differ from it by rounding only.
+
+    Every block is independent but for its carry, so the blocks run a step at
+    a time, about GROUP_BYTES per array.  A step is one group of blocks of one
+    group of paths: the blocks of all its paths side by side, or, for a path
+    too long to fit a group alone, a group of its blocks, c running on across
+    them.  Each path draws its noise one step at a time from its own
+    generator, which gives the values of one draw.
+
+    The first step draws its noise on the calling thread, so a call of one
+    step never uses a second one.  While step i is scanned, and while stage
+    runs on a group just finished, one worker thread draws step i+1 and lays
+    it out as that step's z: numpy releases the interpreter lock for both the
+    draw and the copy.  The worker allocates nothing.  It writes into the
+    step's z, made on the calling thread as the step is handed over, and into
+    one draw buffer of one path's step, made once per call.  So the overlap
+    holds one more z and no more, and the worker thread never grows an
+    allocator arena of its own.  From n of about 2.7e5, a step's rows are
+    narrower than the 500 elements above which numpy's ufuncs release the
+    lock: the row loop then holds it, and the worker waits for the 5 ms
+    switch interval (one n = 10^6 S1 cell of M = 4 waited about 45 ms over
+    its 15 drawn steps).
     """
     if n < 10:
         raise ValidationError(f"need n >= 10, got {n}")
@@ -318,56 +372,73 @@ def generate_trajectory(spec, noise, n, seed, signal_values=None):
     s = np.asarray(signal_values, dtype=float)
     if s.shape != (n + 1,):
         raise ValidationError(f"signal_values must have length n+1={n + 1}")
-    stack = isinstance(seed, list)
-    y = _linear_scan(s, [functools.partial(noise.draw, np.random.default_rng(sd))
-                         for sd in (seed if stack else [seed])])
-    return Trajectory(n=n, a=spec.a, b=spec.b, y=y if stack else y[0])
-
-
-def _linear_scan(s, draws):
-    """y_j = s_j y_{j-1} + xi_j for j = 1..n from y_0 = 0, as a two-level scan (Blelloch 1990),
-    for one path per draw; returns the (paths, n+1) stack.
-
-    s holds s_0..s_n (s_0 is unused), for every path; draws[i](m) gives the
-    next m noise values of path i.
-    The steps are cut into blocks of w = [sqrt(n)].  The recurrence runs from 0
-    in every block at once, one column at a time, giving z; a scalar loop over
-    the blocks carries the value c that each block starts from; then
-    y = z + c * (running product of s within the block).  The first block is
-    the plain recurrence; later ones differ from it by rounding only.
-
-    Every block is independent but for its carry, so the blocks run a group at
-    a time, about GROUP_BYTES per array.  A group lays the blocks of as many
-    whole paths as fit side by side (path_groups); a path too long to fit runs
-    alone, a group of its blocks at a time, c running on across them.  Each
-    path draws its noise one group at a time from its own generator, which
-    gives the values of one draw.
-    """
-    n = len(s) - 1
     w = math.isqrt(n)
-    per = w * -(-GROUP_BYTES // (8 * w))  # steps per group of one path: whole blocks
-    y = np.empty((len(draws), n + 1))
-    y[:, 0] = 0.0
-    for paths in path_groups(len(draws), n):
-        c = [0.0] * len(draws[paths])
-        for start in range(1, n + 1, per):
-            c = _scan_group(s[start:start + per], draws[paths], w, c, y[paths, start:start + per])
-    return y
+    per = w * -(-GROUP_BYTES // (8 * w))  # indices j per step of one path: whole blocks
+    rngs = [np.random.default_rng(sd) for sd in seeds]
+    steps = [(rngs[paths], start, min(per, n + 1 - start))
+             for paths in path_groups(len(rngs), n) for start in range(1, n + 1, per)]
+    xi = np.empty(w * -(-min(per, n) // w))
+
+    def draw_args(i):  # step i's arguments to _draw_blocks; its z is made on this thread
+        group, _, m = steps[i]
+        blocks = -(-m // w)
+        return noise, group, m, xi[:blocks * w], np.empty((w, len(group) * blocks))
+
+    out, pending = [], None
+    try:
+        for i, (group, start, m) in enumerate(steps):
+            z = pending.result() if i else _draw_blocks(*draw_args(0))
+            pending = (_worker().submit(_draw_blocks, *draw_args(i + 1))
+                       if i + 1 < len(steps) else None)
+            if start == 1:
+                y = np.empty((len(group), n + 1))
+                y[:, 0] = 0.0
+                c = [0.0] * len(group)
+            c = _scan_group(s[start:start + m], z, c, y[:, start:start + m])
+            z = None  # a stage runs with the next step's z alive, not this one's too
+            if start + m > n:
+                out.append(stage(Trajectory(n=n, a=spec.a, b=spec.b, y=y)))
+                y = None
+    finally:
+        if pending is not None:  # a draw still running writes into this call's buffers
+            pending.exception()  # waits for it, so that no work of the call outlives it
+    return out
 
 
-def _scan_group(s, draws, w, c, out):
-    """The two-level scan over one group of blocks, into out: row i of out is the
-    path that draws[i] draws for, run from carry c[i]; returns the carries after
-    the group."""
-    paths, m = out.shape
-    blocks = -(-m // w)
-    pad = blocks * w - m
-    # column i * blocks + j of the (w, paths * blocks) arrays holds block j of
-    # path i: rows are in-block steps; only the last group of a path is padded
-    z = np.empty((w, paths * blocks))
-    for i, draw in enumerate(draws):
-        xi = np.append(draw(m), np.zeros(pad)) if pad else draw(m)
+@functools.cache
+def _worker():
+    """The one thread that draws the step after the one being scanned, made on
+    first use; a call of one step never makes it."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="tvarseq-draw")
+
+
+# a child made by fork has no thread but the forking one: it makes its own worker
+os.register_at_fork(after_in_child=_worker.cache_clear)
+
+
+def _draw_blocks(noise, rngs, m, xi, z):
+    """The next m noise values of each generator of rngs, laid out in z: column
+    i * blocks + j of the (w, len(rngs) * blocks) z holds block j of path i, rows
+    being in-block steps, the last block padded with zeros.  xi is the buffer
+    of one path's blocks."""
+    w = len(z)
+    blocks = len(xi) // w
+    xi[m:] = 0.0
+    for i, rng in enumerate(rngs):
+        noise.draw_into(rng, xi[:m])
         z.T[i * blocks:(i + 1) * blocks] = xi.reshape(blocks, w)
+    return z
+
+
+def _scan_group(s, z, c, out):
+    """The two-level scan over one step, into out: row i of out is path i, whose
+    blocks z holds as _draw_blocks lays them out, run from carry c[i]; returns
+    the carries after the step.  s holds the step's s_j."""
+    paths, m = out.shape
+    w, cols = z.shape
+    blocks = cols // paths
+    pad = blocks * w - m
     if pad:
         s = np.append(s, np.ones(pad))
     # every path's blocks read the same s: a view for one path, a copy for more

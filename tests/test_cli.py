@@ -8,6 +8,7 @@ import math
 import os
 import re
 import tempfile
+import threading
 import warnings
 
 import pytest
@@ -18,6 +19,7 @@ import tvarseq.cli as cli
 import tvarseq.pipeline as pl
 from tvarseq.cli import (COMMANDS, EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main,
                          parse_args)
+from tvarseq.signals import NoiseSpec
 
 
 def run(tmp_path, *argv):
@@ -411,6 +413,27 @@ class TestOutOfMemory:
         assert captured.err.startswith("error:") and "17.9 GiB" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+        assert not out.exists() or not any(out.iterdir())
+
+
+    def test_exit_2_from_the_draw_worker(self, tmp_path, capsys, monkeypatch):
+        # simulate --n 300000 is one path of two steps: the worker draws the
+        # second, and its MemoryError reaches main as the calling thread's would
+        threads, real = [], NoiseSpec.draw_into
+
+        def draw_into(self, rng, out):
+            threads.append(threading.current_thread())
+            if len(threads) == 2:
+                raise MemoryError("Unable to allocate 17.9 GiB for an array")
+            return real(self, rng, out)
+
+        monkeypatch.setattr(NoiseSpec, "draw_into", draw_into)
+        out = tmp_path / "out"
+        assert main(["simulate", "--n", "300000", "--out", str(out)]) == EXIT_VALIDATION
+        assert threads[1] is not threading.main_thread()
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "17.9 GiB" in captured.err
+        assert "Traceback" not in captured.err
         assert not out.exists() or not any(out.iterdir())
 
 

@@ -1,5 +1,6 @@
-"""Peak traced memory of the large-n layers at n = 10^6, no full-size transients, and
-of a Monte-Carlo cell at n = 7*10^4, which holds one group of paths at a time."""
+"""Peak traced memory of the large-n layers at n = 10^6, no full-size transients, of a
+Monte-Carlo cell at n = 7*10^4, which holds one group of paths at a time, and of one at
+n = 10^4, which holds the z of the step drawn ahead."""
 
 import gc
 import tracemalloc
@@ -17,9 +18,10 @@ N = 10 ** 6
 # transient in any layer breaks its ceiling.  Measured with numpy 2.4 (S1 / S2):
 #   signal_values_uniform  15.3 / 16.9   (the half spectrum, the irfft and the result)
 #   make_context           15.3 / 16.9   (the same irfft, run first)
-#   generate_trajectory    14.4 / 13.7   (the path and one group's arrays)
+#   generate_trajectory    16.6 / 15.8   (the path, one step's arrays and the next z)
 #   build_regression        5.1 /  5.1   (one group of windows)
-#   run_cell, M = 4        23.1 / 22.4   (the context and one replication's path)
+#   run_cell, M = 4        25.4 / 25.4   (the context, one replication's path, a group
+#                                         of its windows and the next step's z)
 CEILING_MIB = {"signal_values_uniform": 21.0, "make_context": 21.0,
                "generate_trajectory": 20.0, "build_regression": 10.0, "run_cell": 29.0}
 
@@ -59,3 +61,17 @@ CELL_70K_CEILING_MIB = 21.0
 def test_cell_holds_one_group_of_paths(spec, gaussian):
     _, cell = traced_peak_mib(tv.run_cell, spec, gaussian, 70_000, 50, 7)
     assert cell <= CELL_70K_CEILING_MIB, f"traced peak {cell:.1f} MiB"
+
+
+# A 10^4 cell, M = 50, is one chunk of two steps, of 26 and 24 paths: the worker
+# draws the second into its own z while the first is scanned and staged.  10.7 MiB
+# (S1 and S2) with numpy 2.4, or 12.0 in a process whose first call of more than
+# one step this is: that call imports concurrent.futures and starts the worker.
+# Before the draw ran ahead the cell took 10.4 / 9.8 MiB.
+CELL_10K_CEILING_MIB = 12.5
+
+
+@pytest.mark.parametrize("spec", [tv.signal_s1(), tv.signal_s2()], ids=["S1", "S2"])
+def test_cell_holds_one_step_drawn_ahead(spec, gaussian):
+    _, cell = traced_peak_mib(tv.run_cell, spec, gaussian, 10_000, 50, 7)
+    assert cell <= CELL_10K_CEILING_MIB, f"traced peak {cell:.1f} MiB"

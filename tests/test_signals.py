@@ -2,9 +2,11 @@
 
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -148,7 +150,7 @@ class TestNoise:
     @pytest.mark.parametrize("family", ["gaussian_std", "uniform_unit_variance"])
     def test_empirical_moments(self, family, rng):
         m = 10 ** 6
-        x = NoiseSpec(family).draw(rng, m)
+        x = NoiseSpec(family).draw_into(rng, np.empty(m))
         assert abs(x.mean()) < 4 / math.sqrt(m)
         assert abs(x.var() - 1.0) < 4 / math.sqrt(m)
         analytic4 = moment_2l(family, 2)
@@ -264,7 +266,7 @@ def recurrences(draw):
 def test_scan_matches_scalar_recurrence(case):
     n, s, noise, seed = case
     traj = generate_trajectory(ZERO_SIGNAL, noise, n, seed, signal_values=s)
-    xi = noise.draw(np.random.default_rng(seed), n)
+    xi = noise.draw_into(np.random.default_rng(seed), np.empty(n))
     y = [0.0]
     for j in range(1, n + 1):
         y.append(s[j] * y[-1] + xi[j - 1])
@@ -278,14 +280,31 @@ def test_scan_matches_scalar_recurrence(case):
 ADMISSIBLE = [NoiseSpec("gaussian_std"), NoiseSpec("uniform_unit_variance")]
 
 
+# numpy's own sampler of each law: the values that draw_into must give
+SAMPLER = {"gaussian_std": lambda rng, m: rng.standard_normal(m),
+           "uniform_unit_variance": lambda rng, m: rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), m)}
+
+
 @pytest.mark.parametrize("noise", ADMISSIBLE, ids=lambda noise: noise.family)
 def test_draw_in_uneven_chunks_is_one_draw(noise):
-    # the scan draws its noise a group at a time from the one generator
-    one = noise.draw(np.random.default_rng(5), 10_007)
-    rng = np.random.default_rng(5)
+    # the scan draws its noise a step at a time from the one generator, into a
+    # buffer that it reuses: uneven fills of one buffer, one after another, and
+    # consecutive fills of the slices of one array, are each one draw
+    one = SAMPLER[noise.family](np.random.default_rng(5), 10_007)
     cuts = [0, 1, 100, 101, 3_000, 9_999, 10_007]
-    chunks = [noise.draw(rng, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+    rng, buf = np.random.default_rng(5), np.full(10_007, np.nan)
+    chunks = [noise.draw_into(rng, buf[:hi - lo]).copy() for lo, hi in zip(cuts, cuts[1:])]
     assert np.concatenate(chunks).tobytes() == one.tobytes()
+    rng, whole = np.random.default_rng(5), np.full(10_007, np.nan)
+    for lo, hi in zip(cuts, cuts[1:]):
+        noise.draw_into(rng, whole[lo:hi])
+    assert whole.tobytes() == one.tobytes()
+
+
+def test_noise_free_draw_overwrites_the_buffer():
+    buf = np.full(7, np.nan)
+    assert NoiseSpec("none").draw_into(np.random.default_rng(0), buf) is buf
+    assert np.all(buf == 0.0)
 
 
 @pytest.mark.parametrize("noise", ADMISSIBLE, ids=lambda noise: noise.family)
@@ -339,6 +358,119 @@ def test_path_groups_keep_every_bit(group_bytes, noise, monkeypatch):
     grouped, _ = path_stack_and_paths(noise, n, paths)
     assert len(signals.path_groups(paths, n)) == (3 if group_bytes > 8 * n else 7)
     assert np.array_equal(as_int64(grouped), as_int64(one))
+
+
+@pytest.mark.parametrize("noise", ADMISSIBLE, ids=lambda noise: noise.family)
+def test_step_stream_keeps_every_bit(noise, monkeypatch):
+    # 7 paths of n = 10007 in groups of 3, 3 and 1, each path in 34 steps of 3
+    # blocks of w = 100: the worker draws every step but the first, across
+    # paths and across groups, each into its own z
+    n, paths = 10_007, 7
+    _, one = path_stack_and_paths(noise, n, paths)
+    monkeypatch.setattr(signals, "GROUP_BYTES", 8 * 100 * 3)
+    monkeypatch.setattr(signals, "path_groups",
+                        lambda count, n: [slice(p, p + 3) for p in range(0, count, 3)])
+    s = signal_values_uniform(tv.signal_s1(), n)
+    seeds = [replication_seed(12345, r) for r in range(1, paths + 1)]
+    groups = signals.trajectory_groups(tv.signal_s1(), noise, n, seeds,
+                                       lambda traj: traj.y.copy(), s)
+    assert [len(y) for y in groups] == [3, 3, 1]
+    assert np.array_equal(as_int64(np.concatenate(groups)), as_int64(one))
+    stack, _ = path_stack_and_paths(noise, n, paths)
+    assert np.array_equal(as_int64(stack), as_int64(one))
+
+
+class Boom(Exception):
+    pass
+
+
+def patched_draw(monkeypatch, fail_at=None, error=None):
+    """Record the thread of each draw_into call, and make call number fail_at raise
+    error; returns the list of threads."""
+    threads, real = [], NoiseSpec.draw_into
+
+    def draw_into(self, rng, out):
+        threads.append(threading.current_thread())
+        if len(threads) == fail_at:
+            raise error
+        return real(self, rng, out)
+
+    monkeypatch.setattr(NoiseSpec, "draw_into", draw_into)
+    return threads
+
+
+def test_worker_error_reaches_the_caller(s1, gaussian, monkeypatch):
+    # n = 300000 is one path of two steps: the first drawn on the calling
+    # thread, the second on the worker, which raises
+    n = 300_000
+    whole = generate_trajectory(s1, gaussian, n, 7).y
+    error = Boom("step 2")
+    with monkeypatch.context() as patch:
+        threads = patched_draw(patch, 2, error)
+        with pytest.raises(Boom) as raised:
+            generate_trajectory(s1, gaussian, n, 7)
+    assert raised.value is error
+    assert threads[0] is threading.main_thread() and threads[1] is not threading.main_thread()
+    # the worker is not wedged: the next call draws on it and keeps every bit
+    assert generate_trajectory(s1, gaussian, n, 7).y.tobytes() == whole.tobytes()
+
+
+def test_worker_error_reaches_run_cell(s1, gaussian, monkeypatch):
+    # at n = 10^4 a chunk of 50 paths is two steps of 26 and 24 paths: draw 27
+    # is the worker's first
+    cell = tv.run_cell(s1, gaussian, 10_000, 50, 7)
+    error = Boom("step 2")
+    with monkeypatch.context() as patch:
+        threads = patched_draw(patch, 27, error)
+        with pytest.raises(Boom) as raised:
+            tv.run_cell(s1, gaussian, 10_000, 50, 7)
+    assert raised.value is error and threads[-1] is not threading.main_thread()
+    assert tv.run_cell(s1, gaussian, 10_000, 50, 7).rbar == cell.rbar
+
+
+def test_concurrent_callers_share_the_worker(monkeypatch):
+    # three callers at once, under a short switch interval, queue their steps on
+    # the one worker; each call keeps the bits that it gets alone
+    monkeypatch.setattr(signals, "GROUP_BYTES", 8 * 100 * 3)
+    n, noise = 10_007, NoiseSpec("uniform_unit_variance")
+    s = signal_values_uniform(tv.signal_s1(), n)
+    alone = [generate_trajectory(tv.signal_s1(), noise, n, [k, k + 1], s).y for k in range(3)]
+    together = {}
+
+    def call(k):
+        together[k] = generate_trajectory(tv.signal_s1(), noise, n, [k, k + 1], s).y
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(3)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for k in range(3):
+        assert np.array_equal(as_int64(together[k]), as_int64(alone[k]))
+
+
+def path_bytes(n, seed):
+    return generate_trajectory(tv.signal_s1(), NoiseSpec("gaussian_std"), n, seed).y.tobytes()
+
+
+def test_forked_child_makes_its_own_worker():
+    # a child made by fork has no copy of the parent's worker thread: one that
+    # handed its steps to the parent's executor would wait for them for ever
+    whole = path_bytes(300_000, 7)  # two steps: the parent's worker now exists
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(path_bytes, (300_000, 7)).get(timeout=60) == whole
+
+
+def test_one_step_call_draws_on_the_calling_thread(s1, gaussian, monkeypatch):
+    threads = patched_draw(monkeypatch)
+    generate_trajectory(s1, gaussian, 10_000, [1, 2, 3])
+    assert threads == [threading.main_thread()] * 3
 
 
 def test_one_seed_list_is_a_stack_of_one(s1, gaussian):

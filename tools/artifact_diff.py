@@ -72,6 +72,8 @@ def battery(root):
     # 7 paths of n = 70000 run in groups of 3, 3 and 1 whole paths
     cmds += [["risk-table", "--signal", "s2", "--noise", "gaussian", "--n", "70000", "--M", "7",
               *OUT]]
+    # one path of n = 300000 is two steps: the worker thread draws the second
+    cmds += [["estimate", "--signal", "s2", "--noise", "uniform", "--n", "300000", *OUT]]
     unstable = f"series:{os.path.join(root, 'unstable')}.json"
     cmds += [["estimate", "--n", "50", *OUT], ["risk-table", "--M", "0", *OUT],
              ["simulate", "--signal", "s9", *OUT], ["estimate", "--signal", unstable, *OUT]]
