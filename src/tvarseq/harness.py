@@ -2,17 +2,17 @@
 (signal, n, noise) cells.
 
 Each replication simulates a fresh trajectory from its own deterministically
-derived seed.  Inside a chunk of replications the paths run in groups: a group
-holds as many whole paths as fit signals.GROUP_BYTES (signals.path_groups),
-the whole chunk at small n and one path from n = 2^17 on.  The scan and the
-sequential stage run once per group, on the blocks and windows of every path
-in it, and give each path the bits that it gets on its own: a chunk is one
-call of signals.trajectory_groups, whose stage builds each group's regression
-columns, so that one group's paths are alive at a time.  The scan runs a step
-(one group of blocks) at a time, and a worker thread draws the next step's
-noise while this one is scanned and its group staged.  The first step of a
-chunk draws on the calling thread, so a chunk of one step (a chunk of 50 at
-n <= 500) uses no second thread; a 7*10^4 chunk of 50 is 17 steps of 3 paths.
+derived seed.  A chunk of replications is one call of signals.trajectory_groups,
+the one place that cuts paths into groups: as many whole paths as fit
+signals.GROUP_BYTES, the whole chunk at small n and one path from n = 2^17 on.
+Its stage, regression_columns, runs each group's windows through the
+sequential stage at once, and the groups' columns are joined here: one group's
+paths are alive at a time, and each path keeps the bits it gets on its own.
+The scan runs a step (one group of blocks) at a time, and a worker thread
+draws the next step's noise while this one is scanned and its group staged.
+The first step of a chunk draws on the calling thread, so a chunk of one step
+(a chunk of 50 at n <= 500) uses no second thread; a 7*10^4 chunk of 50 is 17
+steps of 3 paths.
 The regression samples of a chunk are then estimated together: one
 coefficient product and one pass over the weight grid per chunk, so the
 weight profiles are built once per chunk, not once per replication.  A
@@ -33,7 +33,7 @@ from .selection import empirical_error
 # generate_trajectory is unused here; perfbench's tracer test asserts this binding
 from .signals import (ValidationError, generate_trajectory,  # noqa: F401
                       replication_seed, trajectory_groups)
-from .sequential import regression_columns
+from .sequential import compute_partition, regression_columns
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,8 @@ def run_table(spec, noise_specs, n_list, M, base_seed, signal_id=""):
         raise ValidationError(f"need base_seed >= 0, got {base_seed}")
     if any(noise.family == "none" for noise in noise_specs):
         raise ValidationError("a noise-free risk cell is degenerate: every replication is the same")
+    for n in n_list:  # each n's partition rejects a bad n in O(d), before any context
+        compute_partition(n, spec.a, spec.b)
     cells = []
     for n in n_list:
         ctx = pl.make_context(spec, n)

@@ -9,11 +9,11 @@ resulting ratio estimate has conditional variance exactly 1/H_l.
 regression_columns gathers each window once, as the row y_{k1-1}, y_{k1}, ...
 of one common width, and each formula reads a fixed column slice of it: one
 row, or a stack of rows at once.  A row runs on into the next window (the
-windows are adjacent), but no formula reads past its own window's end.  The
-windows are gathered and run a group at a time, and each point's columns are
-joined at the end: a group stacks the windows of as many whole paths as fit
-signals.GROUP_BYTES, or, of a path too long to fit, holds the windows over
-about GROUP_BYTES of it.  build_regression is its one-path call.
+windows are adjacent), but no formula reads past its own window's end.  It
+stages the paths it is given, one path or one group of whole paths that
+signals.trajectory_groups cut, gathering the windows of about
+signals.GROUP_BYTES of each path at a time.  build_regression is its one-path
+call.
 """
 
 from dataclasses import dataclass, field
@@ -198,20 +198,18 @@ def regression_columns(traj, part):
     group of windows at once; returns the columns after l, in POINT_FIELDS order, each
     of shape (paths, d).
 
-    A group is the windows of as many whole paths as fit signals.GROUP_BYTES
-    (signals.path_groups) or, of a path too long to fit, those over about
-    GROUP_BYTES of it.  Each column joins its window groups across, then its
-    path groups down.
+    traj is one path or one group that signals.trajectory_groups cut.  A window
+    group holds the windows over about signals.GROUP_BYTES of each of its paths,
+    so the caller's group is what bounds memory.  A path too long to fit a group alone (n above 2^18) runs in
+    several window groups, each column joining them across.
     """
     if traj.n != part.n:
         raise ValidationError("trajectory and partition disagree on n")
     y = np.atleast_2d(traj.y)
     w = int(np.max(part.k2 - part.k1)) + 2  # window l is the row y_{k1-1}..
     per = -(-signals.GROUP_BYTES * part.d // (8 * part.n))  # windows per group of one path
-    groups = [map(np.hstack, zip(*[_stages(y[paths], part, w, slice(l, l + per))
-                                   for l in range(0, part.d, per)]))
-              for paths in signals.path_groups(len(y), part.n)]
-    return list(map(np.vstack, zip(*groups)))
+    return list(map(np.hstack, zip(*[_stages(y, part, w, slice(l, l + per))
+                                     for l in range(0, part.d, per)])))
 
 
 def _stages(y, part, w, g):

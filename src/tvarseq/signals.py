@@ -311,20 +311,16 @@ def path_groups(paths, n):
 
 
 def generate_trajectory(spec, noise, n, seed, signal_values=None):
-    """Simulate y_j = S(x_j) y_{j-1} + xi_j for j = 1..n from y_0 = 0.
+    """Simulate y_j = S(x_j) y_{j-1} + xi_j for j = 1..n from y_0 = 0: one path,
+    drawn from numpy's generator of seed (anything np.random.default_rng takes).
 
-    seed is one seed, giving one path, or a list of seeds, giving the stack of
-    their paths, path i drawn from seed i's own generator; a one-seed list gives
-    the bits of that seed's path.  signal_values may carry S(x_j) for j = 0..n
-    (the j = 0 entry is unused), as a context holds them; without it S is
-    evaluated here.  The spec was certified stable when it was built.  This is
-    trajectory_groups with its groups joined.
+    signal_values may carry S(x_j) for j = 0..n (the j = 0 entry is unused), as
+    a context holds them; without it S is evaluated here.  The spec was
+    certified stable when it was built.  This is trajectory_groups of [seed],
+    whose one group is the one path.
     """
-    stack = isinstance(seed, list)
-    ys = trajectory_groups(spec, noise, n, seed if stack else [seed], lambda traj: traj.y,
-                           signal_values)
-    y = ys[0] if len(ys) == 1 else np.concatenate(ys)
-    return Trajectory(n=n, a=spec.a, b=spec.b, y=y if stack else y[0])
+    [y] = trajectory_groups(spec, noise, n, [seed], lambda traj: traj.y[0], signal_values)
+    return Trajectory(n=n, a=spec.a, b=spec.b, y=y)
 
 
 def trajectory_groups(spec, noise, n, seeds, stage, signal_values=None):

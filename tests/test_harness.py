@@ -112,6 +112,7 @@ class TestRunTable:
             lambda: run_table(s2, [gaussian, none], [70000, 200], 50, base_seed=0),
             lambda: run_table(s1, [gaussian, gaussian], [200], 3, base_seed=0),
             lambda: run_table(s1, [gaussian], [200], 3, base_seed=-1),
+            lambda: run_table(s1, [gaussian], [70000, 50], 50, base_seed=0),
         ]
         for call in rejected:
             with pytest.raises(signals.ValidationError):

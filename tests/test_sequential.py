@@ -242,7 +242,10 @@ class TestBuildRegression:
         build_regression: every POINT_FIELDS column after l, and gamma_all."""
         noise, part = NoiseSpec(family), compute_partition(n)
         seeds = [replication_seed(5, r) for r in range(1, paths + 1)]
-        cols = regression_columns(generate_trajectory(tv.signal_s1(), noise, n, seeds), part)
+        # as a Monte-Carlo chunk composes them: each group staged, the groups joined
+        groups = signals.trajectory_groups(tv.signal_s1(), noise, n, seeds,
+                                           lambda traj: regression_columns(traj, part))
+        cols = list(map(np.concatenate, zip(*groups)))
         regs = [build_regression(generate_trajectory(tv.signal_s1(), noise, n, sd), part)
                 for sd in seeds]
         for name, col in zip(POINT_FIELDS[1:], cols, strict=True):
@@ -272,7 +275,8 @@ class TestBuildRegression:
         self.assert_stack_is_the_paths(10_007, family, 7)
 
     def test_one_path_only(self, s1, gaussian, ctx_1000):
-        traj = generate_trajectory(s1, gaussian, 1000, [1, 2], signal_values=ctx_1000.S_design)
+        [traj] = signals.trajectory_groups(s1, gaussian, 1000, [1, 2], lambda traj: traj,
+                                           ctx_1000.S_design)
         with pytest.raises(ValidationError, match="one path"):
             build_regression(traj, ctx_1000.part)
 

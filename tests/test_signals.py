@@ -325,11 +325,18 @@ def as_int64(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def path_stack(noise, n, seeds, s):
+    """The paths of seeds as a Monte-Carlo chunk makes them: the groups of one
+    trajectory_groups call, joined."""
+    return np.concatenate(signals.trajectory_groups(tv.signal_s1(), noise, n, seeds,
+                                                    lambda traj: traj.y, s))
+
+
 def path_stack_and_paths(noise, n, paths, seed=12345):
     """A stack of paths from one call, and the same seeds' paths one call each."""
     s = signal_values_uniform(tv.signal_s1(), n)
     seeds = [replication_seed(seed, r) for r in range(1, paths + 1)]
-    stack = generate_trajectory(tv.signal_s1(), noise, n, seeds, signal_values=s).y
+    stack = path_stack(noise, n, seeds, s)
     one = np.stack([generate_trajectory(tv.signal_s1(), noise, n, sd, signal_values=s).y
                     for sd in seeds])
     return stack, one
@@ -434,11 +441,11 @@ def test_concurrent_callers_share_the_worker(monkeypatch):
     monkeypatch.setattr(signals, "GROUP_BYTES", 8 * 100 * 3)
     n, noise = 10_007, NoiseSpec("uniform_unit_variance")
     s = signal_values_uniform(tv.signal_s1(), n)
-    alone = [generate_trajectory(tv.signal_s1(), noise, n, [k, k + 1], s).y for k in range(3)]
+    alone = [path_stack(noise, n, [k, k + 1], s) for k in range(3)]
     together = {}
 
     def call(k):
-        together[k] = generate_trajectory(tv.signal_s1(), noise, n, [k, k + 1], s).y
+        together[k] = path_stack(noise, n, [k, k + 1], s)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -469,15 +476,29 @@ def test_forked_child_makes_its_own_worker():
 
 def test_one_step_call_draws_on_the_calling_thread(s1, gaussian, monkeypatch):
     threads = patched_draw(monkeypatch)
-    generate_trajectory(s1, gaussian, 10_000, [1, 2, 3])
+    signals.trajectory_groups(s1, gaussian, 10_000, [1, 2, 3], lambda traj: None)
     assert threads == [threading.main_thread()] * 3
 
 
 def test_one_seed_list_is_a_stack_of_one(s1, gaussian):
     traj = generate_trajectory(s1, gaussian, 300, 7)
-    stack = generate_trajectory(s1, gaussian, 300, [7])
+    [stack] = signals.trajectory_groups(s1, gaussian, 300, [7], lambda traj: traj)
     assert stack.y.shape == (1, 301)
     assert np.array_equal(as_int64(stack.y[0]), as_int64(traj.y))
+
+
+def test_empty_seed_list_is_no_group(s1, gaussian, monkeypatch):
+    threads, staged = patched_draw(monkeypatch), []
+    assert signals.trajectory_groups(s1, gaussian, 300, [], staged.append) == []
+    assert staged == [] and threads == []
+
+
+def test_seed_list_is_the_entropy_of_one_path(s1, gaussian):
+    # generate_trajectory simulates one path: a list seeds numpy's generator
+    traj = generate_trajectory(s1, gaussian, 300, [7, 8])
+    assert traj.y.shape == (301,)
+    entropy = generate_trajectory(s1, gaussian, 300, np.random.SeedSequence([7, 8]))
+    assert np.array_equal(as_int64(traj.y), as_int64(entropy.y))
 
 
 def random_series(rng, a=-1.0, b=2.0, n_freq=40, eps=0.5):
