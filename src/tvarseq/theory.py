@@ -7,6 +7,7 @@ constant divides it by upsilon(S) = ((b-a) * sigma_star(S))^{-2k/(2k+1)} with
 sigma_star(S) = integral of 1 - S^2 over [a, b].
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -44,9 +45,10 @@ def pinsker_constant(k, r):
 def upsilon(spec, k):
     """Risk normalizer ((b-a) * sigma_star(S))^{-2k/(2k+1)}."""
     scale = float(spec.b - spec.a) * float(sigma_star(spec))  # Python floats: inf, not a warning
-    if not math.isfinite(scale):
-        raise ValidationError(f"(b - a) sigma_star(S) overflows on [{spec.a}, {spec.b}]")
-    return scale ** (-2.0 * k / (2 * k + 1))
+    with contextlib.suppress(OverflowError):  # a float power raises where it would round to inf
+        if 0.0 < scale < math.inf:
+            return scale ** (-2.0 * k / (2 * k + 1))
+    raise ValidationError(f"upsilon(S) is not a finite float: (b - a) sigma_star(S) = {scale}")
 
 
 def efficiency_ratio(rbar, spec, k, r, n):

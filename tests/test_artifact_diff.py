@@ -32,7 +32,7 @@ def same_tree():
 def test_same_tree_exits_0(same_tree):
     assert same_tree.returncode == 0, same_tree.stdout + same_tree.stderr
     lines = same_tree.stdout.splitlines()
-    assert lines[-1] == "64 commands, 64 byte-identical, 0 differ beyond rtol 1e-12"
+    assert lines[-1] == "65 commands, 65 byte-identical, 0 differ beyond rtol 1e-12"
     # the line before the summary counts each tree's lines, as wc -l does
     count = sum(len(path.read_text(encoding="utf-8").splitlines())
                 for path in pathlib.Path(SRC, "tvarseq").glob("*.py"))

@@ -370,7 +370,13 @@ def test_out_that_is_a_file_exits_3(tmp_path, capsys):
     (None, ["--k", BEYOND_FLOAT], EXIT_VALIDATION),
     (FAR, ["--signal"], EXIT_VALIDATION),  # (b - a) sigma_star overflows
     (FAR_TABULATED, ["--signal"], EXIT_VALIDATION),
-], ids=["huge-r", "huge-k", "far-series", "far-tabulated"])
+    # (b - a) sigma_star = 1e-300 * 0.99e-300 underflows to 0
+    ({"kind": "series", "a": 0, "b": 1e-300, "coefficients": [1e-151]}, ["--signal"],
+     EXIT_VALIDATION),
+    # (b - a) sigma_star = 0.99e-320 is subnormal: its power of about -1 overflows
+    ({"kind": "series", "a": 0, "b": 1e-160, "coefficients": [1e-81]},
+     ["--k", "100000000000000", "--signal"], EXIT_VALIDATION),
+], ids=["huge-r", "huge-k", "far-series", "far-tabulated", "vanishing-scale", "subnormal-scale"])
 def test_pinsker_outside_inputs(tmp_path, capsys, spec, argv, expected):
     """A finite constant or exit 2, never inf, 0 or a traceback; a rejected
     command prints no result and writes nothing."""

@@ -1,13 +1,16 @@
 """Peak traced memory of the large-n layers at n = 10^6, no full-size transients, of a
-Monte-Carlo cell at n = 7*10^4, which holds one group of paths at a time, and of one at
-n = 10^4, which holds the z of the step drawn ahead."""
+Monte-Carlo cell at n = 7*10^4, which holds one group of paths at a time, of one at
+n = 10^4, which holds the z of the step drawn ahead, and of the beta projection at
+d = 1001, which holds no (i_max, d) array."""
 
 import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import tvarseq as tv
+from tvarseq.beta import project_coefficients
 from tvarseq.pipeline import make_context
 from tvarseq.sequential import build_regression
 from tvarseq.signals import generate_trajectory, signal_values_uniform
@@ -75,3 +78,17 @@ CELL_10K_CEILING_MIB = 12.5
 def test_cell_holds_one_step_drawn_ahead(spec, gaussian):
     _, cell = traced_peak_mib(tv.run_cell, spec, gaussian, 10_000, 50, 7)
     assert cell <= CELL_10K_CEILING_MIB, f"traced peak {cell:.1f} MiB"
+
+
+# The projection of a d = 1001 step estimate (n = 10^6) onto i_max = d coefficients
+# holds a few vectors of length d: 0.11 MiB with numpy 2.4.  One (i_max, d) array
+# (7.6 MiB at this d) breaks the ceiling.
+BETA_CEILING_MIB = 1.0
+
+
+def test_beta_projection_holds_no_cell_matrix():
+    d = 1001
+    S_star = np.random.default_rng(12345).normal(size=d)
+    beta_hat, peak = traced_peak_mib(project_coefficients, S_star, 0.0, 1.0, d)
+    assert beta_hat.shape == (d,)
+    assert peak <= BETA_CEILING_MIB, f"traced peak {peak:.2f} MiB"

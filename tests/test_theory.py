@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tvarseq.signals import SignalSpec
+from tvarseq.signals import SignalSpec, ValidationError
 from tvarseq.theory import efficiency_ratio, pinsker_constant, sigma_star, upsilon
 
 PINSKER_1_1 = 0.4235654288187097  # ((1+2)·1)^{1/3} (1/(2π))^{2/3}, frozen
@@ -88,6 +88,13 @@ class TestUpsilon:
         spec = const_signal(0.0, a=0.0, b=2.0)
         assert upsilon(spec, 1) == pytest.approx(4.0 ** (-2.0 / 3.0), abs=1e-9)
         assert upsilon(spec, 1) == pytest.approx(0.39685, abs=1e-5)
+
+    @pytest.mark.parametrize("b, c, k", [(1e-300, 1e-151, 2), (1e-160, 1e-81, 10 ** 14)],
+                             ids=["scale-underflows", "power-overflows"])
+    def test_scale_outside_the_floats_rejected(self, b, c, k):
+        spec = SignalSpec(kind="series", a=0.0, b=b, coefficients=(c,))
+        with pytest.raises(ValidationError):
+            upsilon(spec, k)
 
     def test_roundtrip(self, s1, s2):
         for spec in (s1, s2):

@@ -69,6 +69,8 @@ def battery(root):
                  ["risk-table", "--signal", sig, "--noise", "all", "--n", "200,500,10000",
                   "--M", "6", *OUT]]
     cmds += [["pinsker", "--k", "3", "--r", "2"], ["pinsker", "--k", "3", "--r", "2", *OUT]]
+    # d = 23: beta_i up to i = 60 reads frequencies m past d/2 (mirrored) and past d (wrapped)
+    cmds += [["beta", "--signal", signals[2], "--n", "500", "--i-max", "60", *OUT]]
     # 7 paths of n = 70000 run in groups of 3, 3 and 1 whole paths
     cmds += [["risk-table", "--signal", "s2", "--noise", "gaussian", "--n", "70000", "--M", "7",
               *OUT]]
