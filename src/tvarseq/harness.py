@@ -8,11 +8,12 @@ signals.GROUP_BYTES, the whole chunk at small n and one path from n = 2^17 on.
 Its stage, regression_columns, runs each group's windows through the
 sequential stage at once, and the groups' columns are joined here: one group's
 paths are alive at a time, and each path keeps the bits it gets on its own.
-The scan runs a step (one group of blocks) at a time, and a worker thread
-draws the next step's noise while this one is scanned and its group staged.
-The first step of a chunk draws on the calling thread, so a chunk of one step
-(a chunk of 50 at n <= 500) uses no second thread; a 7*10^4 chunk of 50 is 17
-steps of 3 paths.
+The scan runs a step (one group of blocks) at a time, and the chunk's own
+worker thread draws the next step's noise while this one is scanned and its
+group staged; the worker ends with the chunk.  The first step of a chunk
+draws on the calling thread, so a chunk of one step (a chunk of 50 at
+n <= 500) starts no second thread; a 7*10^4 chunk of 50 is 17 steps of 3
+paths.
 The regression samples of a chunk are then estimated together: one
 coefficient product and one pass over the weight grid per chunk, so the
 weight profiles are built once per chunk, not once per replication.  A

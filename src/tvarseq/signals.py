@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import numbers
-import os
 
 import numpy as np
 
@@ -347,12 +346,14 @@ def trajectory_groups(spec, noise, n, seeds, stage, signal_values=None):
     generator, which gives the values of one draw.
 
     The first step draws its noise on the calling thread, so a call of one
-    step never uses a second one.  While step i is scanned, and while stage
+    step never starts a second one.  While step i is scanned, and while stage
     runs on a group just finished, one worker thread draws step i+1 and lays
     it out as that step's z: numpy releases the interpreter lock for both the
-    draw and the copy.  The worker allocates nothing.  It writes into the
-    step's z, made on the calling thread as the step is handed over, and into
-    one draw buffer of one path's step, made once per call.  So the overlap
+    draw and the copy.  The worker is the call's own: it starts when the
+    second step is handed to it and has ended when the call returns or
+    raises.  It allocates nothing.  It writes into the step's z, made on the
+    calling thread as the step is handed over, and into one draw buffer of
+    one path's step, made once per call.  So the overlap
     holds one more z and no more, and the worker thread never grows an
     allocator arena of its own.  From n of about 2.7e5, a step's rows are
     narrower than the 500 elements above which numpy's ufuncs release the
@@ -380,11 +381,14 @@ def trajectory_groups(spec, noise, n, seeds, stage, signal_values=None):
         blocks = -(-m // w)
         return noise, group, m, xi[:blocks * w], np.empty((w, len(group) * blocks))
 
-    out, pending = [], None
-    try:
+    # imported here, not at the top: about 5 ms that every import of tvarseq would pay
+    from concurrent.futures import ThreadPoolExecutor
+    out = []
+    # leaving the block waits for a draw still writing into this call's buffers
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tvarseq-draw") as worker:
         for i, (group, start, m) in enumerate(steps):
             z = pending.result() if i else _draw_blocks(*draw_args(0))
-            pending = (_worker().submit(_draw_blocks, *draw_args(i + 1))
+            pending = (worker.submit(_draw_blocks, *draw_args(i + 1))
                        if i + 1 < len(steps) else None)
             if start == 1:
                 y = np.empty((len(group), n + 1))
@@ -395,22 +399,7 @@ def trajectory_groups(spec, noise, n, seeds, stage, signal_values=None):
             if start + m > n:
                 out.append(stage(Trajectory(n=n, a=spec.a, b=spec.b, y=y)))
                 y = None
-    finally:
-        if pending is not None:  # a draw still running writes into this call's buffers
-            pending.exception()  # waits for it, so that no work of the call outlives it
     return out
-
-
-@functools.cache
-def _worker():
-    """The one thread that draws the step after the one being scanned, made on
-    first use; a call of one step never makes it."""
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="tvarseq-draw")
-
-
-# a child made by fork has no thread but the forking one: it makes its own worker
-os.register_at_fork(after_in_child=_worker.cache_clear)
 
 
 def _draw_blocks(noise, rngs, m, xi, z):

@@ -68,8 +68,9 @@ def test_cell_holds_one_group_of_paths(spec, gaussian):
 
 # A 10^4 cell, M = 50, is one chunk of two steps, of 26 and 24 paths: the worker
 # draws the second into its own z while the first is scanned and staged.  10.7 MiB
-# (S1 and S2) with numpy 2.4, or 12.0 in a process whose first call of more than
-# one step this is: that call imports concurrent.futures and starts the worker.
+# (S1 and S2) with numpy 2.4, or 11.5 in a process whose first trajectory_groups
+# call this is: its one-time imports and set-up (concurrent.futures among them)
+# are traced too.
 # Before the draw ran ahead the cell took 10.4 / 9.8 MiB.
 CELL_10K_CEILING_MIB = 12.5
 

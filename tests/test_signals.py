@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -418,7 +419,7 @@ def test_worker_error_reaches_the_caller(s1, gaussian, monkeypatch):
             generate_trajectory(s1, gaussian, n, 7)
     assert raised.value is error
     assert threads[0] is threading.main_thread() and threads[1] is not threading.main_thread()
-    # the worker is not wedged: the next call draws on it and keeps every bit
+    # the next call, on a worker of its own, keeps every bit
     assert generate_trajectory(s1, gaussian, n, 7).y.tobytes() == whole.tobytes()
 
 
@@ -435,9 +436,9 @@ def test_worker_error_reaches_run_cell(s1, gaussian, monkeypatch):
     assert tv.run_cell(s1, gaussian, 10_000, 50, 7).rbar == cell.rbar
 
 
-def test_concurrent_callers_share_the_worker(monkeypatch):
-    # three callers at once, under a short switch interval, queue their steps on
-    # the one worker; each call keeps the bits that it gets alone
+def test_concurrent_callers_keep_their_bits(monkeypatch):
+    # three callers at once, under a short switch interval, each drawing on a
+    # worker of its own; each call keeps the bits that it gets alone
     monkeypatch.setattr(signals, "GROUP_BYTES", 8 * 100 * 3)
     n, noise = 10_007, NoiseSpec("uniform_unit_variance")
     s = signal_values_uniform(tv.signal_s1(), n)
@@ -467,17 +468,69 @@ def path_bytes(n, seed):
 
 
 def test_forked_child_makes_its_own_worker():
-    # a child made by fork has no copy of the parent's worker thread: one that
-    # handed its steps to the parent's executor would wait for them for ever
-    whole = path_bytes(300_000, 7)  # two steps: the parent's worker now exists
+    # a child made by fork has no copy of the parent's threads: were the worker
+    # kept across calls in the process, the child would hand its steps to an
+    # executor whose thread it lacks and wait for them for ever
+    whole = path_bytes(300_000, 7)  # two steps: the parent has run a worker
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.apply_async(path_bytes, (300_000, 7)).get(timeout=60) == whole
 
 
 def test_one_step_call_draws_on_the_calling_thread(s1, gaussian, monkeypatch):
-    threads = patched_draw(monkeypatch)
+    threads, count = patched_draw(monkeypatch), threading.active_count()
     signals.trajectory_groups(s1, gaussian, 10_000, [1, 2, 3], lambda traj: None)
     assert threads == [threading.main_thread()] * 3
+    assert threading.active_count() == count
+
+
+def draw_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("tvarseq-draw")]
+
+
+def test_no_draw_thread_outlives_its_call(s1, gaussian, monkeypatch):
+    # a path of two steps, a Monte-Carlo chunk of two steps, and a call whose
+    # worker raises each end with their worker gone
+    generate_trajectory(s1, gaussian, 300_000, 7)
+    assert draw_threads() == []
+    tv.run_cell(s1, gaussian, 10_000, 50, 7)
+    assert draw_threads() == []
+    threads = patched_draw(monkeypatch, 2, Boom("step 2"))
+    with pytest.raises(Boom):
+        generate_trajectory(s1, gaussian, 300_000, 7)
+    assert threads[1].name.startswith("tvarseq-draw") and not threads[1].is_alive()
+    assert draw_threads() == []
+
+
+def test_stage_error_waits_for_the_pending_draw(monkeypatch):
+    # 7 paths of n = 10007, one at a time in 34 steps of 3 blocks: the first
+    # path's stage raises while the worker makes draw 35, the second path's
+    # first, which is slowed so that it is still running
+    n, paths, noise = 10_007, 7, NoiseSpec("gaussian_std")
+    _, one = path_stack_and_paths(noise, n, paths)
+    monkeypatch.setattr(signals, "GROUP_BYTES", 8 * 100 * 3)
+    s = signal_values_uniform(tv.signal_s1(), n)
+    seeds = [replication_seed(12345, r) for r in range(1, paths + 1)]
+    entries, exits, real = [], [], NoiseSpec.draw_into
+
+    def draw_into(self, rng, out):
+        entries.append(threading.current_thread())
+        try:
+            if len(entries) == 35:
+                time.sleep(0.1)
+            return real(self, rng, out)
+        finally:
+            exits.append(threading.current_thread())
+
+    def stage(traj):
+        raise Boom("stage")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(NoiseSpec, "draw_into", draw_into)
+        with pytest.raises(Boom):
+            signals.trajectory_groups(tv.signal_s1(), noise, n, seeds, stage, s)
+        assert len(entries) == len(exits) == 35
+    assert entries[-1] is not threading.main_thread()
+    assert np.array_equal(as_int64(path_stack(noise, n, seeds, s)), as_int64(one))
 
 
 def test_one_seed_list_is_a_stack_of_one(s1, gaussian):
