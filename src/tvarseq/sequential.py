@@ -6,14 +6,16 @@ clamped value sets the threshold H_l, and the remaining observations feed a
 stopping rule that accumulates squared regressors until H_l is reached.  The
 resulting ratio estimate has conditional variance exactly 1/H_l.
 
-regression_columns gathers each window once, as the row y_{k1-1}, y_{k1}, ...
-of one common width, and each formula reads a fixed column slice of it: one
-row, or a stack of rows at once.  A row runs on into the next window (the
-windows are adjacent), but no formula reads past its own window's end.  It
-stages the paths it is given, one path or one group of whole paths that
-signals.trajectory_groups cut, gathering the windows of about
-signals.GROUP_BYTES of each path at a time.  build_regression is its one-path
-call.
+regression_columns reads every window at one common width, in two layouts.
+The preliminary estimate reads its head y_{k1-1}..y_{iota} as a row, one row
+per window.  The stopping rule and the sequential estimate read its tail
+y_iota, y_{iota+1}, ... time-major: row i holds step i of every window of
+every path, so each of their running sums is one vector add per step.  A
+window runs on into the next (the windows are adjacent), but no formula reads
+past its own window's end.  It stages the paths it is given, one path or one
+group of whole paths that signals.trajectory_groups cut, gathering the windows
+of about signals.GROUP_BYTES of each path at a time.  build_regression is its
+one-path call.
 """
 
 from dataclasses import dataclass, field
@@ -74,9 +76,19 @@ def compute_partition(n, a=0.0, b=1.0):
     return GridPartition(n=n, d=d, q_pre=q_pre, z=z, k1=k1, k2=k2, iota=iota)
 
 
-def _at(rows, k):
-    """rows[..., k] with one index k per row."""
-    return np.take_along_axis(rows, np.asarray(k)[..., None], axis=-1)[..., 0]
+def _at(x, k):
+    """x[k] along axis 0, with one index k per window (column)."""
+    return np.take_along_axis(x, np.asarray(k)[None], axis=0)[0]
+
+
+def _running_sum(u):
+    """The running sum of u along axis 0, written into u, which is returned: the
+    additions of a cumulative sum, in its order, as one vector add per step
+    across every window at once."""
+    rows = [u[i:i + 1] for i in range(len(u))]
+    for prev, row in zip(rows, rows[1:]):
+        np.add(prev, row, out=row)
+    return u
 
 
 def preliminary_estimate(prev, cur):
@@ -115,20 +127,21 @@ def threshold(s_tilde, k2, iota, n):
 def run_stopping_rule(x, last, H):
     """First step at which the accumulated mass of u_i = x_i^2 reaches H.
 
-    x holds y_iota, y_{iota+1}, ... as one row or a stack of rows.  The
-    terminal term u_last (u_{k2}) has its mass set to H, so the rule stops by
-    last; entries after last, where the mass is already at least H, never
-    count.  Returns (step, kappa, gamma): the stop is at tau = iota + 1 + step,
-    kappa in (0, 1] weights u_step so that the mass hits H exactly, and gamma
-    marks a stop strictly before last.
+    x holds y_iota, y_{iota+1}, ... along axis 0: one window, or a (C, k)
+    stack whose column i is window i.  The terminal term u_last (u_{k2}) has
+    its mass set to H, so the rule stops by last; entries after last, where
+    the mass is already at least H, never count.  Returns (step, kappa,
+    gamma): the stop is at tau = iota + 1 + step, kappa in (0, 1] weights
+    u_step so that the mass hits H exactly, and gamma marks a stop strictly
+    before last.
     """
     x, last, H = np.asarray(x), np.asarray(last), np.asarray(H, dtype=float)
     if np.any(H <= 0):
         raise ValidationError("threshold must be positive")
     u = x * x
-    np.put_along_axis(u, last[..., None], H[..., None], axis=-1)
-    mass = np.cumsum(u, axis=-1, out=u)
-    step = np.count_nonzero(mass < H[..., None], axis=-1)  # searchsorted: mass is nondecreasing
+    np.put_along_axis(u, last[None], H[None], axis=0)
+    mass = _running_sum(u)
+    step = np.count_nonzero(mass < H, axis=0)  # searchsorted: mass is nondecreasing
     before = np.where(step > 0, _at(mass, np.maximum(step - 1, 0)), 0.0)
     gamma = step < last
     return step, np.sqrt((H - before) / np.where(gamma, _at(x, step) ** 2, H)), gamma
@@ -137,13 +150,13 @@ def run_stopping_rule(x, last, H):
 def sequential_estimate(x, H, step, kappa, gamma):
     """Truncated ratio estimate (sum_{i<step} x_i x_{i+1} + kappa x_step x_{step+1}) / H.
 
-    On the row run_stopping_rule took, this is sum y_{j-1} y_j over
-    j = iota+1..tau-1 plus kappa y_{tau-1} y_tau.  The estimate is 0 where
-    gamma is false.  Entries after step + 1 are never read.
+    x is laid out as run_stopping_rule takes it, each window along axis 0.
+    On a window, this is sum y_{j-1} y_j over j = iota+1..tau-1 plus
+    kappa y_{tau-1} y_tau.  The estimate is 0 where gamma is false.  Entries
+    after step + 1 are never read.
     """
     x = np.asarray(x)
-    prod = x[..., :-1] * x[..., 1:]
-    run = np.cumsum(prod, axis=-1, out=prod)
+    run = _running_sum(x[:-1] * x[1:])
     # + 0.0 turns a sum of -0.0 terms into 0.0, as a running sum from 0.0 does
     head = np.where(step > 0, _at(run, np.maximum(step - 1, 0)) + 0.0, 0.0)
     return np.where(gamma, (head + kappa * _at(x, step) * _at(x, step + 1)) / H, 0.0)
@@ -213,9 +226,10 @@ def regression_columns(traj, part):
 
 
 def _stages(y, part, w, g):
-    """Both stages at the grid points of slice g of every path (row) of y, from one
-    (paths * points, w) stack of rows gathered from y; returns the columns after l,
-    in POINT_FIELDS order, each of shape (paths, points)."""
+    """Both stages at the grid points of slice g of every path (row) of y; returns the
+    columns after l, in POINT_FIELDS order, each of shape (paths, points).  Window i
+    of path p is row p * points + i of the heads and column p * points + i of the
+    time-major tails."""
     paths = len(y)
     k1, q = part.k1[g], part.q_pre
     k2, iota = np.tile(part.k2[g], paths), np.tile(part.iota[g], paths)
@@ -223,10 +237,13 @@ def _stages(y, part, w, g):
     seg = y[:, lo:hi]
     if hi > y.shape[1]:  # the last window is short, so its row runs past y_n into zero padding
         seg = np.concatenate((seg, np.zeros((paths, hi - y.shape[1]))), axis=1)
-    rows = sliding_window_view(seg, w, axis=1)[:, k1 - k1[0]].reshape(-1, w)
-    s_pre = project_estimate(preliminary_estimate(rows[:, :q + 1], rows[:, 1:q + 2]), part.n)
+    at = k1 - k1[0]
+    head = sliding_window_view(seg, q + 2, axis=1)[:, at].reshape(-1, q + 2)  # y_{k1-1}..y_iota
+    s_pre = project_estimate(preliminary_estimate(head[:, :-1], head[:, 1:]), part.n)
     H = threshold(s_pre, k2, iota, part.n)
-    x = rows[:, q + 1:]  # y_iota, y_{iota+1}, ...
+    x = np.empty((w - q - 1, paths * len(at)))  # row i: y_{iota+i} of every window
+    x.reshape(len(x), paths, -1)[...] = sliding_window_view(
+        seg[:, q + 1:], len(x), axis=1)[:, at].transpose(2, 0, 1)
     step, kappa, gamma = run_stopping_rule(x, k2 - iota - 1, H)
     s_star = sequential_estimate(x, H, step, kappa, gamma)
     return [col.reshape(paths, -1) for col in (s_pre, H, iota + 1 + step, kappa, gamma, s_star)]

@@ -358,8 +358,8 @@ def trajectory_groups(spec, noise, n, seeds, stage, signal_values=None):
     allocator arena of its own.  From n of about 2.7e5, a step's rows are
     narrower than the 500 elements above which numpy's ufuncs release the
     lock: the row loop then holds it, and the worker waits for the 5 ms
-    switch interval (one n = 10^6 S1 cell of M = 4 waited about 45 ms over
-    its 15 drawn steps).
+    switch interval (one n = 10^6 cell of M = 4, S1 or S2, waited 3 to 27 ms
+    for the worker over its 15 drawn steps).
     """
     if n < 10:
         raise ValidationError(f"need n >= 10, got {n}")
@@ -419,18 +419,25 @@ def _draw_blocks(noise, rngs, m, xi, z):
 def _scan_group(s, z, c, out):
     """The two-level scan over one step, into out: row i of out is path i, whose
     blocks z holds as _draw_blocks lays them out, run from carry c[i]; returns
-    the carries after the step.  s holds the step's s_j."""
+    the carries after the step.  s holds the step's s_j.
+
+    Like z, the running product of s is time-major: row r holds step r of
+    every block of every path, s being 1 past the end of a short last block.
+    So each step of both recurrences is one vector op across all blocks: the
+    products and sums of a block-by-block accumulate, in its order."""
     paths, m = out.shape
     w, cols = z.shape
     blocks = cols // paths
-    pad = blocks * w - m
-    if pad:
-        s = np.append(s, np.ones(pad))
-    # every path's blocks read the same s: a view for one path, a copy for more
-    s = np.broadcast_to(s.reshape(blocks, w), (paths, blocks, w)).reshape(-1, w).T
-    for r in range(1, w):
-        z[r] += s[r] * z[r - 1]
-    prod = np.cumprod(s, axis=0)
+    full = m // w  # blocks written in full; a short last block gives its head
+    prod = np.ones((w, paths, blocks))
+    prod[:, :, :full] = s[:full * w].reshape(full, w).T[:, None]
+    prod[:m - full * w, :, full:] = s[full * w:, None, None]
+    prod = prod.reshape(w, cols)
+    pr, zr, tmp = list(prod), list(z), np.empty(cols)
+    for r in range(1, w):  # s_r enters z's row r, then the product's row r
+        np.multiply(pr[r], zr[r - 1], out=tmp)
+        zr[r] += tmp
+        np.multiply(pr[r - 1], pr[r], out=pr[r])
     z_end, p_end = z[-1].tolist(), prod[-1].tolist()
     carry, ends = [], []
     for c_i, i in zip(c, range(0, paths * blocks, blocks)):  # each path from its own carry
@@ -440,7 +447,6 @@ def _scan_group(s, z, c, out):
         ends.append(c_i)
     prod *= carry
     z += prod
-    full = m // w  # blocks written in full; a padded last block gives its head
     out[:, :full * w].reshape(paths, full, w)[...] = z.T.reshape(paths, blocks, w)[:, :full]
     out[:, full * w:] = z[:m - full * w, blocks - 1::blocks].T
     return ends

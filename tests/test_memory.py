@@ -19,11 +19,11 @@ N = 10 ** 6
 
 # Ceilings in MiB of memory traced during the call.  One more n-float (7.6 MiB)
 # transient in any layer breaks its ceiling.  Measured with numpy 2.4 (S1 / S2):
-#   signal_values_uniform  15.3 / 16.9   (the half spectrum, the irfft and the result)
-#   make_context           15.3 / 16.9   (the same irfft, run first)
-#   generate_trajectory    16.6 / 15.8   (the path, one step's arrays and the next z)
+#   signal_values_uniform  15.3 / 16.8   (the half spectrum, the irfft and the result)
+#   make_context           15.3 / 16.8   (the same irfft, run first)
+#   generate_trajectory    17.3 / 16.0   (the path, one step's arrays and the next z)
 #   build_regression        5.1 /  5.1   (one group of windows)
-#   run_cell, M = 4        25.4 / 25.4   (the context, one replication's path, a group
+#   run_cell, M = 4        25.5 / 25.4   (the context, one replication's path, a group
 #                                         of its windows and the next step's z)
 CEILING_MIB = {"signal_values_uniform": 21.0, "make_context": 21.0,
                "generate_trajectory": 20.0, "build_regression": 10.0, "run_cell": 29.0}
@@ -55,7 +55,7 @@ def test_large_n_layers_hold_no_full_size_transient(spec, gaussian):
 
 
 # A 7*10^4 cell, M = 50, holds its context and one group of 3 paths at a time:
-# 17.7 / 17.1 MiB (S1 / S2) with numpy 2.4.  The chunk's 50 paths at once
+# 17.1 MiB (S1 and S2) with numpy 2.4.  The chunk's 50 paths at once
 # (50 x 0.53 MiB) would break the ceiling.
 CELL_70K_CEILING_MIB = 21.0
 
@@ -68,7 +68,7 @@ def test_cell_holds_one_group_of_paths(spec, gaussian):
 
 # A 10^4 cell, M = 50, is one chunk of two steps, of 26 and 24 paths: the worker
 # draws the second into its own z while the first is scanned and staged.  10.7 MiB
-# (S1 and S2) with numpy 2.4, or 11.5 in a process whose first trajectory_groups
+# (S1 and S2) with numpy 2.4, or 12.0 in a process whose first trajectory_groups
 # call this is: its one-time imports and set-up (concurrent.futures among them)
 # are traced too.
 # Before the draw ran ahead the cell took 10.4 / 9.8 MiB.

@@ -11,6 +11,7 @@ from tvarseq import signals
 from tvarseq.sequential import (
     MU0,
     POINT_FIELDS,
+    _running_sum,
     build_regression,
     compute_partition,
     eps_tilde,
@@ -161,6 +162,45 @@ class TestStoppingRule:
         x = np.zeros(7)
         step, kappa, gamma = run_stopping_rule(x, last=5, H=5.0)
         assert sequential_estimate(x, H=5.0, step=step, kappa=kappa, gamma=gamma) == 0.0
+
+
+def bits(a):
+    """The bits of a float64 array as int64, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("shape", [(1,), (10,), (1, 5), (10, 5)], ids=str)
+def test_running_sum_is_cumsum(shape):
+    # in place, with the bits of np.cumsum: -0.0 terms (the first term in 1-D,
+    # a column of them in 2-D) and, past length 1, a +inf term halfway down
+    u = np.random.default_rng(4).standard_normal(shape)
+    u.reshape(len(u), -1)[len(u) // 2, -1] = np.inf
+    u.flat[::3] = -0.0
+    u[..., 0] = -0.0
+    expected = np.cumsum(u, axis=0)
+    assert _running_sum(u) is u
+    assert np.array_equal(bits(u), bits(expected))
+
+
+def test_window_stack_is_each_window():
+    # column i of a (C, k) stack gives, bit for bit, the 1-D call on window i.
+    # Window 0 is all zero; window 1 stops on a signed-zero head, the + 0.0 case
+    # of sequential_estimate; last runs from 0 to C - 1
+    C, k = 12, 7
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((C + 1, k))  # sequential_estimate reads x up to last + 1
+    x[:, 0] = 0.0
+    x[:, 1] = [-0.0, 0.0, -0.0, 3.0, -0.0, *rng.standard_normal(C - 4)]
+    last = np.array([5, 6, 0, C - 1, 3, C - 1, 0])
+    H = np.array([5.0, 5.0, *rng.uniform(0.5, 6.0, k - 2)])
+    stack = run_stopping_rule(x[:C], last, H)
+    est = sequential_estimate(x, H, *stack)
+    assert list(stack[0][:2]) == [5, 3] and stack[2][1] and est[1] == 0.0
+    for i in range(k):
+        step, kappa, gamma = run_stopping_rule(x[:C, i], last[i], H[i])
+        assert (stack[0][i], stack[2][i]) == (step, gamma)
+        assert bits(stack[1][i]) == bits(kappa)
+        assert bits(est[i]) == bits(sequential_estimate(x[:, i], H[i], step, kappa, gamma))
 
 
 class TestPipelineInvariants:

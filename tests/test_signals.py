@@ -311,10 +311,12 @@ def test_noise_free_draw_overwrites_the_buffer():
 @pytest.mark.parametrize("noise", ADMISSIBLE, ids=lambda noise: noise.family)
 @pytest.mark.parametrize("blocks", [1, 3])
 @pytest.mark.parametrize("spec", [tv.signal_s1(), tv.signal_s2()], ids=["S1", "S2"])
-def test_scan_groups_keep_every_bit(spec, blocks, noise, monkeypatch):
-    # n = 10007 has blocks of w = 100 steps and a last block of 7: with 1 or 3
-    # blocks per group the path is 101 or 34 groups, the last one padded
-    n, w = 10_007, 100
+@pytest.mark.parametrize("n", [10_000, 10_007])
+def test_scan_groups_keep_every_bit(n, spec, blocks, noise, monkeypatch):
+    # both n have blocks of w = 100 steps.  n = 10007 has a last block of 7:
+    # with 1 or 3 blocks per group the path is 101 or 34 groups, the last one
+    # padded.  n = 10000 has every block full: 100 or 34 groups, none padded
+    w = 100
     s = signal_values_uniform(spec, n)
     whole = generate_trajectory(spec, noise, n, 3, signal_values=s).y
     monkeypatch.setattr(signals, "GROUP_BYTES", 8 * w * blocks)
