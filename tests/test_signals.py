@@ -308,19 +308,32 @@ def test_noise_free_draw_overwrites_the_buffer():
     assert np.all(buf == 0.0)
 
 
-@pytest.mark.parametrize("noise", ADMISSIBLE, ids=lambda noise: noise.family)
-@pytest.mark.parametrize("blocks", [1, 3])
-@pytest.mark.parametrize("spec", [tv.signal_s1(), tv.signal_s2()], ids=["S1", "S2"])
-@pytest.mark.parametrize("n", [10_000, 10_007])
-def test_scan_groups_keep_every_bit(n, spec, blocks, noise, monkeypatch):
-    # both n have blocks of w = 100 steps.  n = 10007 has a last block of 7:
-    # with 1 or 3 blocks per group the path is 101 or 34 groups, the last one
-    # padded.  n = 10000 has every block full: 100 or 34 groups, none padded
+def assert_scan_groups_keep_every_bit(n, spec, blocks, noise, monkeypatch):
+    """A path scanned in groups of `blocks` blocks of w = 100 steps equals the
+    same path scanned in one group, bit for bit."""
     w = 100
     s = signal_values_uniform(spec, n)
     whole = generate_trajectory(spec, noise, n, 3, signal_values=s).y
     monkeypatch.setattr(signals, "GROUP_BYTES", 8 * w * blocks)
     assert generate_trajectory(spec, noise, n, 3, signal_values=s).y.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("noise", ADMISSIBLE, ids=lambda noise: noise.family)
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("spec", [tv.signal_s1(), tv.signal_s2()], ids=["S1", "S2"])
+def test_scan_groups_keep_every_bit(spec, blocks, noise, monkeypatch):
+    # n = 10007 has blocks of w = 100 steps and a last block of 7: with 1 or 3
+    # blocks per group the path is 101 or 34 groups, the last one padded
+    assert_scan_groups_keep_every_bit(10_007, spec, blocks, noise, monkeypatch)
+
+
+@pytest.mark.parametrize("noise", ADMISSIBLE, ids=lambda noise: noise.family)
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("spec", [tv.signal_s1(), tv.signal_s2()], ids=["S1", "S2"])
+def test_full_block_scan_groups_keep_every_bit(spec, blocks, noise, monkeypatch):
+    # n = 10000 has every block of w = 100 steps full: with 1 or 3 blocks per
+    # group the path is 100 or 34 groups, none padded
+    assert_scan_groups_keep_every_bit(10_000, spec, blocks, noise, monkeypatch)
 
 
 def as_int64(a):
