@@ -2,12 +2,13 @@
 (signal, n, noise) cells.
 
 Each replication simulates a fresh trajectory from its own deterministically
-derived seed.  A chunk of replications is one call of signals.trajectory_groups,
-the one place that cuts paths into groups: as many whole paths as fit
-signals.GROUP_BYTES, the whole chunk at small n and one path from n = 2^17 on.
-Its stage, regression_columns, runs each group's windows through the
-sequential stage at once, and the groups' columns are joined here: one group's
-paths are alive at a time, and each path keeps the bits it gets on its own.
+derived seed.  A chunk of replications is one call of signals.trajectory_groups
+on the context's S_design, the one place that cuts paths into groups: as many
+whole paths as fit signals.GROUP_BYTES, the whole chunk at small n and one path
+from n = 2^17 on.  Its stage, regression_columns, runs each group's
+(paths, n+1) array through the sequential stage, its windows at once, and the
+groups' columns are joined here: one group's paths are alive at a time, and
+each path keeps the bits it gets on its own.
 The scan runs a step (one group of blocks) at a time, and the chunk's own
 worker thread draws the next step's noise while this one is scanned and its
 group staged; the worker ends with the chunk.  The first step of a chunk
@@ -94,8 +95,8 @@ def _cell(ctx, norm_n, noise, M, base_seed, signal_id):
     chunk = max(1, min(M, CHUNK_VALUES // ctx.grid.nu))
     for first in range(1, M + 1, chunk):
         seeds = [replication_seed(base_seed, r) for r in range(first, min(first + chunk, M + 1))]
-        cols = trajectory_groups(ctx.spec, noise, n, seeds,
-                                 lambda traj: regression_columns(traj, ctx.part), ctx.S_design)
+        cols = trajectory_groups(ctx.S_design, noise, seeds,
+                                 lambda y: regression_columns(y, ctx.part))
         _, H, _, _, gamma, Y = map(np.concatenate, zip(*cols))
         gamma_count += int(np.count_nonzero(gamma.all(axis=1)))
         _, chosen = pl.estimate_from_sample(ctx, Y, 1.0 / H)

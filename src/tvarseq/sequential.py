@@ -12,10 +12,10 @@ per window.  The stopping rule and the sequential estimate read its tail
 y_iota, y_{iota+1}, ... time-major: row i holds step i of every window of
 every path, so each of their running sums is one vector add per step.  A
 window runs on into the next (the windows are adjacent), but no formula reads
-past its own window's end.  It stages the paths it is given, one path or one
+past its own window's end.  It stages the (paths, n+1) array it is given, one
 group of whole paths that signals.trajectory_groups cut, gathering the windows
 of about signals.GROUP_BYTES of each path at a time.  build_regression is its
-one-path call.
+call on a stack of one path.
 """
 
 from dataclasses import dataclass, field
@@ -195,30 +195,30 @@ def _sample(part, *columns):
 
 
 def build_regression(traj, part):
-    """The regression sample of a one-path trajectory: its row of regression_columns.
+    """The regression sample of one path: the one row of regression_columns(traj.y[None]).
 
     S*_l is zeroed at points whose stopping rule only terminates at the forced
     boundary; the other points stay informative.  gamma_all records the global
     event, whose probability tends to 1 only as n grows.
     """
-    if np.ndim(traj.y) != 1:
-        raise ValidationError("build_regression takes one path; regression_columns takes a stack")
-    return _sample(part, *(col[0] for col in regression_columns(traj, part)))
+    return _sample(part, *(col[0] for col in regression_columns(traj.y[None], part)))
 
 
-def regression_columns(traj, part):
-    """Both stages at every grid point of every path of traj, each formula applied to a
-    group of windows at once; returns the columns after l, in POINT_FIELDS order, each
+def regression_columns(y, part):
+    """Both stages at every grid point of every path (row) of y, each formula applied to
+    a group of windows at once; returns the columns after l, in POINT_FIELDS order, each
     of shape (paths, d).
 
-    traj is one path or one group that signals.trajectory_groups cut.  A window
-    group holds the windows over about signals.GROUP_BYTES of each of its paths,
-    so the caller's group is what bounds memory.  A path too long to fit a group alone (n above 2^18) runs in
+    y is a (paths, n+1) array: one group that signals.trajectory_groups cut, or
+    one path as a stack of one.  A window group holds the windows over about
+    signals.GROUP_BYTES of each of its paths, so the caller's group is what
+    bounds memory.  A path too long to fit a group alone (n above 2^18) runs in
     several window groups, each column joining them across.
     """
-    if traj.n != part.n:
-        raise ValidationError("trajectory and partition disagree on n")
-    y = np.atleast_2d(traj.y)
+    if np.ndim(y) != 2:
+        raise ValidationError("need a (paths, n+1) stack; build_regression takes one path")
+    if y.shape[1] != part.n + 1:
+        raise ValidationError(f"paths of n={y.shape[1] - 1} and partition of n={part.n} disagree")
     w = int(np.max(part.k2 - part.k1)) + 2  # window l is the row y_{k1-1}..
     per = -(-signals.GROUP_BYTES * part.d // (8 * part.n))  # windows per group of one path
     return list(map(np.hstack, zip(*[_stages(y, part, w, slice(l, l + per))

@@ -273,8 +273,8 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A simulated AR(1) path y_0 = 0, y_1..y_n on design points x_j = a + (b-a)*j/n,
-    or a stack of such paths: y has shape (n+1,) or (paths, n+1)."""
+    """One simulated AR(1) path y_0 = 0, y_1..y_n on design points x_j = a + (b-a)*j/n:
+    y has shape (n+1,)."""
 
     n: int
     a: float
@@ -314,22 +314,31 @@ def generate_trajectory(spec, noise, n, seed, signal_values=None):
     drawn from numpy's generator of seed (anything np.random.default_rng takes).
 
     signal_values may carry S(x_j) for j = 0..n (the j = 0 entry is unused), as
-    a context holds them; without it S is evaluated here.  The spec was
-    certified stable when it was built.  This is trajectory_groups of [seed],
-    whose one group is the one path.
+    a context holds them; without it S is evaluated here.  This is the scan's
+    one boundary: it checks n, the span and S, which must lie in [-1, 1] (no
+    path then runs to inf or NaN), and runs trajectory_groups of [seed], whose
+    one group is the one path.
     """
-    [y] = trajectory_groups(spec, noise, n, [seed], lambda traj: traj.y[0], signal_values)
+    if n < 10:
+        raise ValidationError(f"need n >= 10, got {n}")
+    _check_span(n, spec.a, spec.b)
+    s = np.asarray(signal_values_uniform(spec, n) if signal_values is None else signal_values, float)
+    if s.shape != (n + 1,):
+        raise ValidationError(f"signal_values must have length n+1={n + 1}")
+    if not np.abs(s[1:]).max() <= 1.0:  # false for NaN too
+        raise ValidationError("signal_values must lie in [-1, 1] (no NaN or inf)")
+    [y] = trajectory_groups(s, noise, [seed], lambda y: y[0])
     return Trajectory(n=n, a=spec.a, b=spec.b, y=y)
 
 
-def trajectory_groups(spec, noise, n, seeds, stage, signal_values=None):
-    """The paths of seeds, one group of them at a time (path_groups): returns
-    [stage(Trajectory of the group's (paths, n+1) stack) for each group].
+def trajectory_groups(signal_values, noise, seeds, stage):
+    """The paths of seeds on s_j = signal_values[j], j = 1..n = len(signal_values) - 1,
+    one group of them at a time (path_groups): returns [stage(y) for each group's
+    (paths, n+1) array y].  n and the values are taken as checked.
 
     Path i is drawn from seed i's own generator and gets the bits that it gets
-    on its own.  A group's stack is dropped once stage returns, before the next
-    group's is made, so one group's paths are alive at a time.  signal_values
-    is read as by generate_trajectory.
+    on its own.  A group's array is dropped once stage returns, before the next
+    group's is made, so one group's paths are alive at a time.
 
     The simulation is a two-level scan of the recurrence (Blelloch 1990).  The
     indices j = 1..n are cut into blocks of w = [sqrt(n)].  The recurrence runs
@@ -361,14 +370,7 @@ def trajectory_groups(spec, noise, n, seeds, stage, signal_values=None):
     switch interval (one n = 10^6 cell of M = 4, S1 or S2, waited 3 to 27 ms
     for the worker over its 15 drawn steps).
     """
-    if n < 10:
-        raise ValidationError(f"need n >= 10, got {n}")
-    _check_span(n, spec.a, spec.b)
-    if signal_values is None:
-        signal_values = signal_values_uniform(spec, n)
-    s = np.asarray(signal_values, dtype=float)
-    if s.shape != (n + 1,):
-        raise ValidationError(f"signal_values must have length n+1={n + 1}")
+    s, n = signal_values, len(signal_values) - 1
     w = math.isqrt(n)
     per = w * -(-GROUP_BYTES // (8 * w))  # indices j per step of one path: whole blocks
     rngs = [np.random.default_rng(sd) for sd in seeds]
@@ -397,7 +399,7 @@ def trajectory_groups(spec, noise, n, seeds, stage, signal_values=None):
             c = _scan_group(s[start:start + m], z, c, y[:, start:start + m])
             z = None  # a stage runs with the next step's z alive, not this one's too
             if start + m > n:
-                out.append(stage(Trajectory(n=n, a=spec.a, b=spec.b, y=y)))
+                out.append(stage(y))
                 y = None
     return out
 

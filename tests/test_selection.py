@@ -375,7 +375,12 @@ def test_shared_definitions(ctx_10000, monkeypatch):
             (lambda: sequential.build_regression(path, part), "disagree"),
             (lambda: tabulated.amplitudes, "tabulated"),
             (lambda: signals.generate_trajectory(signals.signal_s1(), signals.NoiseSpec("none"),
-                                                 100, 0, signal_values=np.zeros(5)), "length")):
+                                                 100, 0, signal_values=np.zeros(5)), "length"),
+            *((lambda v=v: signals.generate_trajectory(
+                signals.signal_s1(), signals.NoiseSpec("none"), 100, 0,
+                signal_values=np.full(101, v)), "[-1, 1]") for v in (np.nan, np.inf, 2.0)),
+            (lambda: sequential.regression_columns(np.zeros(201), part), "one path"),
+            (lambda: sequential.regression_columns(np.zeros((1, 1, 101)), part), "one path")):
         with pytest.raises(ValidationError) as info:
             bad_input()
         assert type(info.value) is ValidationError and word in str(info.value), info.value

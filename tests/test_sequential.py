@@ -283,8 +283,8 @@ class TestBuildRegression:
         noise, part = NoiseSpec(family), compute_partition(n)
         seeds = [replication_seed(5, r) for r in range(1, paths + 1)]
         # as a Monte-Carlo chunk composes them: each group staged, the groups joined
-        groups = signals.trajectory_groups(tv.signal_s1(), noise, n, seeds,
-                                           lambda traj: regression_columns(traj, part))
+        groups = signals.trajectory_groups(signals.signal_values_uniform(tv.signal_s1(), n),
+                                           noise, seeds, lambda y: regression_columns(y, part))
         cols = list(map(np.concatenate, zip(*groups)))
         regs = [build_regression(generate_trajectory(tv.signal_s1(), noise, n, sd), part)
                 for sd in seeds]
@@ -315,8 +315,9 @@ class TestBuildRegression:
         self.assert_stack_is_the_paths(10_007, family, 7)
 
     def test_one_path_only(self, s1, gaussian, ctx_1000):
-        [traj] = signals.trajectory_groups(s1, gaussian, 1000, [1, 2], lambda traj: traj,
-                                           ctx_1000.S_design)
+        # a Trajectory is one path: one holding a stack is made by hand
+        [y] = signals.trajectory_groups(ctx_1000.S_design, gaussian, [1, 2], lambda y: y)
+        traj = signals.Trajectory(n=1000, a=s1.a, b=s1.b, y=y)
         with pytest.raises(ValidationError, match="one path"):
             build_regression(traj, ctx_1000.part)
 

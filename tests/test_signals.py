@@ -344,8 +344,7 @@ def as_int64(a):
 def path_stack(noise, n, seeds, s):
     """The paths of seeds as a Monte-Carlo chunk makes them: the groups of one
     trajectory_groups call, joined."""
-    return np.concatenate(signals.trajectory_groups(tv.signal_s1(), noise, n, seeds,
-                                                    lambda traj: traj.y, s))
+    return np.concatenate(signals.trajectory_groups(s, noise, seeds, lambda y: y))
 
 
 def path_stack_and_paths(noise, n, paths, seed=12345):
@@ -395,8 +394,7 @@ def test_step_stream_keeps_every_bit(noise, monkeypatch):
                         lambda count, n: [slice(p, p + 3) for p in range(0, count, 3)])
     s = signal_values_uniform(tv.signal_s1(), n)
     seeds = [replication_seed(12345, r) for r in range(1, paths + 1)]
-    groups = signals.trajectory_groups(tv.signal_s1(), noise, n, seeds,
-                                       lambda traj: traj.y.copy(), s)
+    groups = signals.trajectory_groups(s, noise, seeds, lambda y: y.copy())
     assert [len(y) for y in groups] == [3, 3, 1]
     assert np.array_equal(as_int64(np.concatenate(groups)), as_int64(one))
     stack, _ = path_stack_and_paths(noise, n, paths)
@@ -493,7 +491,8 @@ def test_forked_child_makes_its_own_worker():
 
 def test_one_step_call_draws_on_the_calling_thread(s1, gaussian, monkeypatch):
     threads, count = patched_draw(monkeypatch), threading.active_count()
-    signals.trajectory_groups(s1, gaussian, 10_000, [1, 2, 3], lambda traj: None)
+    signals.trajectory_groups(signal_values_uniform(s1, 10_000), gaussian, [1, 2, 3],
+                              lambda y: None)
     assert threads == [threading.main_thread()] * 3
     assert threading.active_count() == count
 
@@ -536,13 +535,13 @@ def test_stage_error_waits_for_the_pending_draw(monkeypatch):
         finally:
             exits.append(threading.current_thread())
 
-    def stage(traj):
+    def stage(y):
         raise Boom("stage")
 
     with monkeypatch.context() as patch:
         patch.setattr(NoiseSpec, "draw_into", draw_into)
         with pytest.raises(Boom):
-            signals.trajectory_groups(tv.signal_s1(), noise, n, seeds, stage, s)
+            signals.trajectory_groups(s, noise, seeds, stage)
         assert len(entries) == len(exits) == 35
     assert entries[-1] is not threading.main_thread()
     assert np.array_equal(as_int64(path_stack(noise, n, seeds, s)), as_int64(one))
@@ -550,14 +549,16 @@ def test_stage_error_waits_for_the_pending_draw(monkeypatch):
 
 def test_one_seed_list_is_a_stack_of_one(s1, gaussian):
     traj = generate_trajectory(s1, gaussian, 300, 7)
-    [stack] = signals.trajectory_groups(s1, gaussian, 300, [7], lambda traj: traj)
-    assert stack.y.shape == (1, 301)
-    assert np.array_equal(as_int64(stack.y[0]), as_int64(traj.y))
+    [stack] = signals.trajectory_groups(signal_values_uniform(s1, 300), gaussian, [7],
+                                        lambda y: y)
+    assert stack.shape == (1, 301)
+    assert np.array_equal(as_int64(stack[0]), as_int64(traj.y))
 
 
 def test_empty_seed_list_is_no_group(s1, gaussian, monkeypatch):
     threads, staged = patched_draw(monkeypatch), []
-    assert signals.trajectory_groups(s1, gaussian, 300, [], staged.append) == []
+    assert signals.trajectory_groups(signal_values_uniform(s1, 300), gaussian, [],
+                                     staged.append) == []
     assert staged == [] and threads == []
 
 
@@ -567,6 +568,17 @@ def test_seed_list_is_the_entropy_of_one_path(s1, gaussian):
     assert traj.y.shape == (301,)
     entropy = generate_trajectory(s1, gaussian, 300, np.random.SeedSequence([7, 8]))
     assert np.array_equal(as_int64(traj.y), as_int64(entropy.y))
+
+
+def test_signal_values_within_the_unit_bound_pass(s1, s2, gaussian, ctx_200):
+    # given values are checked against |S| <= 1, not the spec's 1 - eps: values
+    # of +-1 and a context's S_design of S1 or S2 all simulate a finite path
+    n = 200
+    unit = np.where(np.arange(n + 1) % 2, 1.0, -1.0)
+    for spec, s in ((ZERO_SIGNAL, unit), (s1, ctx_200.S_design),
+                    (s2, tv.make_context(s2, n).S_design)):
+        traj = generate_trajectory(spec, gaussian, n, 3, signal_values=s)
+        assert traj.y.shape == (n + 1,) and np.isfinite(traj.y).all()
 
 
 def random_series(rng, a=-1.0, b=2.0, n_freq=40, eps=0.5):
